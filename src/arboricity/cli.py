@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import game, oracle, prime
 from .density import fractional_arboricity
-from .nucleolus import peel_assignment
 from .errors import (
     DisconnectedGraphError,
     EmptyCoreError,
@@ -30,6 +30,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .multigraph import Multigraph
+from .nucleolus import solve_nucleolus
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -112,10 +113,9 @@ def cmd_af(path: str) -> dict:
     g = parse_graph_file(path)
     _require_connected(g)
     cert = fractional_arboricity(g)
-    a = -(-cert.value.numerator // cert.value.denominator)
     return {
         "af": _rat(cert.value),
-        "arboricity": a,
+        "arboricity": math.ceil(cert.value),
         "witness": sorted(cert.witness),
     }
 
@@ -124,7 +124,7 @@ def cmd_prime_partition(path: str) -> dict:
     g = parse_graph_file(path)
     _require_connected(g)
     pp = prime.prime_partition(g)
-    poset = prime.ancestors(g, pp)
+    poset = prime._ancestor_order(g, pp)
     return {
         "af": _rat(pp.af),
         "prime_sets": [
@@ -146,27 +146,15 @@ def cmd_prime_partition(path: str) -> dict:
 def cmd_nucleolus(path: str, variant: bool = False) -> dict:
     g = parse_graph_file(path)
     _require_connected(g)
-    status = game.core_nonempty(g)
-    if not status.nonempty and not variant:
-        raise _CliError(
-            EXIT_PRECONDITION,
-            f"core empty: af={_rat(status.af)}, a={status.arboricity}",
-        )
-    pp = prime.prime_partition(g)
-    poset = prime.ancestors(g, pp)
-    assignment = peel_assignment(pp, poset)
-    alloc = {e: Fraction(0) for e in g.edge_ids}
-    for ps in pp.prime_sets:
-        for e in ps.edges:
-            alloc[e] = assignment.y[ps.id]
-    grand = status.af if variant else Fraction(status.arboricity)
+    sol = solve_nucleolus(g, variant)
+    status = sol.status
     return {
         "core_nonempty": status.nonempty,
         "af": _rat(status.af),
         "arboricity": status.arboricity,
-        "epsilon": _rat(assignment.epsilon),
-        "allocation": [_rat(alloc[e]) for e in sorted(g.edge_ids)],
-        "gamma": _rat(grand),
+        "epsilon": _rat(sol.epsilon),
+        "allocation": [_rat(sol.allocation[e]) for e in sorted(g.edge_ids)],
+        "gamma": _rat(status.af if variant else status.arboricity),
     }
 
 
@@ -184,17 +172,15 @@ def cmd_core_check(path: str, allocation_path: str) -> dict:
 def cmd_oracle(path: str, subcommand: str, cap: int | None) -> dict:
     g = parse_graph_file(path)
     _require_connected(g)
+    kwargs = {"edge_cap": cap} if cap is not None else {}
     if subcommand == "af":
-        kwargs = {"edge_cap": cap} if cap is not None else {}
         value, witness = oracle.brute_fractional_arboricity(g, **kwargs)
-        a = -(-value.numerator // value.denominator)
+        a = math.ceil(value)
         return {"af": _rat(value), "arboricity": a, "witness": sorted(witness)}
     if subcommand == "densest-list":
-        kwargs = {"edge_cap": cap} if cap is not None else {}
         subs = oracle.enumerate_densest_subgraphs(g, **kwargs)
         return {"densest": [sorted(s) for s in subs]}
     if subcommand == "nucleolus":
-        kwargs = {"edge_cap": cap} if cap is not None else {}
         alloc = oracle.maschler_nucleolus(g, **kwargs)
         total = sum(alloc.values())
         return {

@@ -17,6 +17,7 @@ connected component of maximum density, ties broken by minimum VertexId.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -141,8 +142,7 @@ def fractional_arboricity(g: Multigraph) -> DensityCertificate:
 
 def arboricity(g: Multigraph) -> int:
     """Minimum number of forests covering all edges: the ceiling of af(G)."""
-    af = fractional_arboricity(g).value
-    return -(-af.numerator // af.denominator)
+    return math.ceil(fractional_arboricity(g).value)
 
 
 def _shrink_to_minimal(

@@ -11,6 +11,7 @@ the convex hull of the subgraph vectors produced by ``core_vertices``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -46,8 +47,7 @@ def gamma(g: Multigraph, s: Iterable[EdgeId]) -> int:
     if not sset:
         return 0
     sub = g.induced_by_edges(sset)  # raises on unknown edges
-    af = fractional_arboricity(sub).value
-    return -(-af.numerator // af.denominator)
+    return math.ceil(fractional_arboricity(sub).value)
 
 
 def core_nonempty(g: Multigraph) -> CoreStatus:
@@ -57,7 +57,7 @@ def core_nonempty(g: Multigraph) -> CoreStatus:
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
     af = fractional_arboricity(g).value
-    a = -(-af.numerator // af.denominator)
+    a = math.ceil(af)
     return CoreStatus(af == a, af, a)
 
 

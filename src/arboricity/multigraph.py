@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DisconnectedGraphError, GraphInputError, ResourceLimitError
@@ -85,8 +86,9 @@ class Multigraph:
         return self._vertices
 
     @property
-    def edges(self) -> dict[EdgeId, tuple[VertexId, VertexId]]:
-        return dict(self._edges)
+    def edges(self) -> Mapping[EdgeId, tuple[VertexId, VertexId]]:
+        """Read-only view of EdgeId -> endpoints (smaller id first)."""
+        return MappingProxyType(self._edges)
 
     @property
     def edge_ids(self) -> frozenset[EdgeId]:
@@ -133,9 +135,6 @@ class Multigraph:
     def is_connected(self) -> bool:
         return self.num_components() <= 1
 
-    def incident_edges(self, v: VertexId) -> list[EdgeId]:
-        return [e for e, (a, b) in self._edges.items() if v in (a, b)]
-
     # -- derived graphs ----------------------------------------------------
 
     def induced_by_edges(self, s: Iterable[EdgeId]) -> "Multigraph":
@@ -161,14 +160,7 @@ class Multigraph:
         return Multigraph(sub, vertices=uset)
 
     def delete_vertices(self, u: Iterable[VertexId]) -> "Multigraph":
-        uset = set(u)
-        keep = self._vertices - uset
-        sub = {
-            e: (a, b)
-            for e, (a, b) in self._edges.items()
-            if a in keep and b in keep
-        }
-        return Multigraph(sub, vertices=keep)
+        return self.induced_by_vertices(self._vertices - set(u))
 
     def delete_edges(self, f: Iterable[EdgeId]) -> "Multigraph":
         fset = set(f)

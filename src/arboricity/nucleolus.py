@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import EmptyCoreError, GraphInputError, InternalInvariantError
-from .game import Allocation, core_nonempty
+from .game import Allocation, CoreStatus, core_nonempty
 from .multigraph import EdgeId, Multigraph
-from .prime import AncestorPoset, PrimePartition, ancestors, prime_partition
+from .prime import AncestorPoset, PrimePartition, _ancestor_order, prime_partition
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,15 @@ class PeelAssignment:
     @property
     def y_nonprime(self) -> Fraction:
         return Fraction(0)
+
+
+@dataclass(frozen=True)
+class NucleolusSolution:
+    """The nucleolus allocation with the core status and epsilon behind it."""
+
+    status: CoreStatus
+    epsilon: Fraction
+    allocation: Allocation
 
 
 def peel(poset: AncestorPoset) -> dict[int, int]:
@@ -100,23 +109,27 @@ def nucleolus(g: Multigraph, variant: bool = False) -> Allocation:
     ``variant`` is set, in which case the coalition cost is taken to be the
     fractional arboricity itself and the same peeling formulas apply.
     """
-    assignment, pp = _solve(g, variant)
-    alloc: Allocation = {e: Fraction(0) for e in g.edge_ids}
-    for ps in pp.prime_sets:
-        for e in ps.edges:
-            alloc[e] = assignment.y[ps.id]
-    return alloc
+    return solve_nucleolus(g, variant).allocation
 
 
-def _solve(g: Multigraph, variant: bool) -> tuple[PeelAssignment, PrimePartition]:
+def solve_nucleolus(g: Multigraph, variant: bool = False) -> NucleolusSolution:
+    """``nucleolus`` together with the core status and epsilon.
+
+    The core test comes first, so an empty core fails after one fractional
+    arboricity computation instead of after the whole prime partition.
+    """
     status = core_nonempty(g)
     if not status.nonempty and not variant:
         raise EmptyCoreError(
             f"core empty: af={status.af}, a={status.arboricity}"
         )
     pp = prime_partition(g)
-    poset = ancestors(g, pp)
-    return peel_assignment(pp, poset), pp
+    assignment = peel_assignment(pp, _ancestor_order(g, pp))
+    alloc: Allocation = {e: Fraction(0) for e in g.edge_ids}
+    for ps in pp.prime_sets:
+        for e in ps.edges:
+            alloc[e] = assignment.y[ps.id]
+    return NucleolusSolution(status, assignment.epsilon, alloc)
 
 
 def is_tight_tree(
@@ -130,8 +143,8 @@ def is_tight_tree(
     unknown = tset - set(g.edge_ids)
     if unknown:
         raise GraphInputError(f"unknown edge ids {sorted(unknown)}")
-    if len(tset) != g.num_vertices() - 1 or not g.induced_by_edges(tset).is_connected():
-        raise GraphInputError("t is not a spanning tree")
-    if len(g.induced_by_edges(tset).vertices) != g.num_vertices():
+    tree = g.induced_by_edges(tset)
+    spanning = tree.num_vertices() == g.num_vertices() == len(tset) + 1
+    if not spanning or not tree.is_connected():
         raise GraphInputError("t is not a spanning tree")
     return all(len(tset & ps.edges) == ps.n_p - 1 for ps in pp.prime_sets)

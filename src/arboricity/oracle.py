@@ -17,6 +17,7 @@ are omitted from the LPs; they cannot change the feasible set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -149,7 +150,7 @@ def gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> list[int]:
         if d is not None and d > b:
             b = d
         best[mask] = b
-        table[mask] = -(-b.numerator // b.denominator)
+        table[mask] = math.ceil(b)
     return table
 
 

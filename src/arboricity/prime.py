@@ -64,9 +64,6 @@ class AncestorPoset:
                 stack.extend(self.parents[q])
         return frozenset(seen)
 
-    def all_ancestors(self) -> dict[int, frozenset[int]]:
-        return {pid: self.ancestors_of(pid) for pid in self.parents}
-
 
 def prime_partition(g: Multigraph) -> PrimePartition:
     """Prime sets by levels plus the non-prime set E0."""
@@ -122,7 +119,11 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     _check_partition(g, pp)
     if pp.af != fractional_arboricity(g).value:
         raise GraphInputError("prime partition does not match the graph")
+    return _ancestor_order(g, pp)
 
+
+def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
+    """``ancestors`` without its input checks, for a partition built from g."""
     sets = pp.prime_sets
     max_level = max((ps.level for ps in sets), default=0)
     by_level: dict[int, list[PrimeSet]] = {}
@@ -154,16 +155,8 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     # The pairwise test yields the direct dependences; a prime set can also
     # depend on the ancestors of its ancestors even when the direct test
     # misses them, so the ancestor relation proper is the transitive closure.
-    closed: dict[int, frozenset[int]] = {}
-    for ps in sets:
-        seen: set[int] = set()
-        stack = list(ancestor_sets[ps.id])
-        while stack:
-            a = stack.pop()
-            if a not in seen:
-                seen.add(a)
-                stack.extend(ancestor_sets[a])
-        closed[ps.id] = frozenset(seen)
+    direct = AncestorPoset({pid: frozenset(a) for pid, a in ancestor_sets.items()})
+    closed = {ps.id: direct.ancestors_of(ps.id) for ps in sets}
 
     parents: dict[int, frozenset[int]] = {}
     for ps in sets:

@@ -7,6 +7,11 @@ import random
 from arboricity import Multigraph
 
 
+def edge_list_text(g: Multigraph) -> str:
+    """``g`` in the CLI's input format, one "u v" line per edge in id order."""
+    return "".join(f"{u} {v}\n" for _, (u, v) in sorted(g.edges.items()))
+
+
 def triangle() -> Multigraph:
     return Multigraph.from_edge_list([(0, 1), (1, 2), (0, 2)])
 

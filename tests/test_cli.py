@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from arboricity import fractional_arboricity, kernels, prime_partition
 from arboricity.cli import main
+
+from conftest import edge_list_text, four_k4_chain, two_k4_bridge
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -220,3 +223,29 @@ def test_output_file_and_lowest_terms(tmp_path, capsys):
     for s in doc["allocation"] + [doc["epsilon"], doc["af"], doc["gamma"]]:
         f = Fraction(s)
         assert s == str(f)  # lowest terms, canonical rendering
+
+
+@pytest.mark.parametrize("make", [two_k4_bridge, four_k4_chain])
+def test_cli_runs_the_pipeline_once(tmp_path, capsys, monkeypatch, make):
+    # prime-partition costs what prime_partition costs; nucleolus adds only
+    # the af of its empty-core precondition
+    g = make()
+    path = write(tmp_path, "g.txt", edge_list_text(g))
+    real = kernels.sweep
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "sweep", counting)
+
+    def sweeps(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert sweeps(main, ["prime-partition", path]) == sweeps(prime_partition, g)
+    assert sweeps(main, ["nucleolus", path]) == (
+        sweeps(fractional_arboricity, g) + sweeps(prime_partition, g)
+    )

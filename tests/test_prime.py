@@ -110,6 +110,16 @@ def test_ancestors_mismatched_partition():
         ancestors(other, pp)
 
 
+def test_ancestors_partition_of_other_af():
+    # same 14 edge ids, so only the af comparison can reject the partition
+    g = two_k4_bridge()
+    pp = prime_partition(g)
+    cycle = Multigraph.from_edge_list([(i, (i + 1) % 14) for i in range(14)])
+    assert cycle.edge_ids == g.edge_ids and fractional_arboricity(cycle).value != pp.af
+    with pytest.raises(GraphInputError):
+        ancestors(cycle, pp)
+
+
 def test_decompose_shared_k4s():
     g = two_k4_shared_vertex()
     pp = prime_partition(g)
