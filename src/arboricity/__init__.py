@@ -1,8 +1,8 @@
 """Fractional arboricity, prime partition, and arboricity-game nucleolus.
 
 Everything is exact: densities, allocations and epsilon values are
-``fractions.Fraction``.  The hot flow kernel has a compiled implementation
-with a pure-Python fallback; see ``arboricity.kernels``.
+``fractions.Fraction``.  Every exact decision reduces to one integer
+max-flow sweep, the flow kernel in ``arboricity.kernels``.
 """
 
 from .density import (

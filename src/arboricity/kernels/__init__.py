@@ -1,9 +1,9 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The flow kernel: one integer max-flow sweep, implemented in ``pure``.
 
-``active()`` returns the module currently in use.  Tests and benchmarks can
-pin a kernel with ``use("pure")`` / ``use("fast")``; normal code never needs
-to.  Both kernels expose the same ``sweep`` function and produce identical
-results; the compiled one is one to two orders of magnitude faster.
+``sweep`` answers whether a compact multigraph has a connected vertex set
+denser than p/q; callers use it as ``kernels.sweep``.  ``active()`` returns
+the kernel module, so code that inspects the kernel (its ``NAME``, its
+per-flow ``_trial``) does not depend on the module layout.
 """
 
 from __future__ import annotations
@@ -11,40 +11,8 @@ from __future__ import annotations
 from types import ModuleType
 
 from . import pure
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _fastflow as fast
-except ImportError:  # pragma: no cover
-    fast = None
-
-_active: ModuleType = fast if fast is not None else pure
-
-
-def available() -> list[str]:
-    names = ["pure"]
-    if fast is not None:
-        names.append("fast")
-    return names
+from .pure import sweep
 
 
 def active() -> ModuleType:
-    return _active
-
-
-def use(name: str) -> ModuleType:
-    """Select a kernel by name ("pure" or "fast"); returns the module."""
-    global _active
-    if name == "pure":
-        _active = pure
-    elif name == "fast":
-        if fast is None:
-            raise RuntimeError("compiled kernel is not available")
-        _active = fast
-    else:
-        raise ValueError(f"unknown kernel {name!r}")
-    return _active
-
-
-def sweep(n, us, vs, p, q):
-    """Dispatch to the active kernel."""
-    return _active.sweep(n, us, vs, p, q)
+    return pure

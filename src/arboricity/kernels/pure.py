@@ -1,9 +1,4 @@
-"""Pure-Python density-witness kernel.
-
-This is the reference implementation of the hot inner loop; the compiled
-kernel in ``_fastflow.pyx`` mirrors it statement for statement so that both
-produce bit-identical results (same flows, same residual graphs, same
-witnesses).  Keep the two in sync.
+"""Density-witness kernel in pure Python: the hot inner loop of the package.
 
 The kernel answers one question: given a multigraph (compact integer arrays)
 and a rational threshold p/q, is there a connected vertex set U whose induced
@@ -41,7 +36,9 @@ def _dinic(
     flow = 0
     level = [0] * num_nodes
     it = [0] * num_nodes
-    INF = 1 << 62
+    # no augmenting path carries more than the source can send, so this
+    # limit never binds, whatever the size of the capacities
+    INF = sum(arc_cap[a] for a in adj[source]) + 1
 
     while True:
         for i in range(num_nodes):
