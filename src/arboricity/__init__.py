@@ -1,8 +1,8 @@
 """Fractional arboricity, prime partition, and arboricity-game nucleolus.
 
 Everything is exact: densities, allocations and epsilon values are
-``fractions.Fraction``.  Every exact decision reduces to one integer
-max-flow sweep, the flow kernel in ``arboricity.kernels``.
+``fractions.Fraction``.  Every exact decision reduces to integer max
+flows in the flow kernel, ``arboricity.kernels``.
 """
 
 from .density import (

@@ -13,6 +13,10 @@ therefore prices one vertex of the candidate set as free (a "root") and
 sweeps roots over the graph, peeling and deleting as it goes.  Witness
 extraction follows a fixed rule: from the min-cut source side, keep the
 connected component of maximum density, ties broken by minimum VertexId.
+
+The minimal densest subgraphs are read in one kernel call at lambda = af: one
+flow per root, whose residual graph holds every densest set containing that
+root.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ def _best_component(g: Multigraph, vertices: list[VertexId]) -> frozenset[Vertex
     return best
 
 
-def _witness_above(g: Multigraph, p: int, q: int) -> frozenset[VertexId] | None:
-    """Connected vertex set with density > p/q, or None."""
+def _compact(g: Multigraph) -> tuple[list[VertexId], list[int], list[int]]:
+    """Sorted vertices and, per edge in id order, its endpoints' indices."""
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
     us: list[int] = []
@@ -78,6 +82,12 @@ def _witness_above(g: Multigraph, p: int, q: int) -> frozenset[VertexId] | None:
         a, b = g.endpoints(eid)
         us.append(index[a])
         vs.append(index[b])
+    return verts, us, vs
+
+
+def _witness_above(g: Multigraph, p: int, q: int) -> frozenset[VertexId] | None:
+    """Connected vertex set with density > p/q, or None."""
+    verts, us, vs = _compact(g)
     raw = kernels.sweep(len(verts), us, vs, p, q)
     if raw is None:
         return None
@@ -85,20 +95,6 @@ def _witness_above(g: Multigraph, p: int, q: int) -> frozenset[VertexId] | None:
     if _component_density(g.induced_by_vertices(witness), witness) * q <= p:
         raise InternalInvariantError("flow witness does not exceed the threshold")
     return witness
-
-
-def _witness_at_least(g: Multigraph, lam: Fraction) -> frozenset[VertexId] | None:
-    """Connected vertex set with density >= lam (lam > 0), or None.
-
-    Works by a strict test just below lam: subgraph densities have
-    denominator at most n(g)-1, so no density falls strictly between
-    lam - 1/(q*n) and lam.
-    """
-    n = g.num_vertices()
-    if n < 2 or g.num_edges() == 0:
-        return None
-    p, q = lam.numerator, lam.denominator
-    return _witness_above(g, p * n - 1, q * n)
 
 
 def exceeds_density(
@@ -145,81 +141,33 @@ def arboricity(g: Multigraph) -> int:
     return math.ceil(fractional_arboricity(g).value)
 
 
-def _shrink_to_minimal(
-    g: Multigraph, lam: Fraction, witness: frozenset[VertexId]
-) -> frozenset[VertexId]:
-    """Vertex-deletion loop of the minimal-densest-subgraph extraction.
-
-    Candidates are scanned in ascending VertexId and the scan restarts after
-    each successful deletion.  A failed candidate stays failed as the graph
-    shrinks (its deletion target only loses subgraphs), so failures are
-    memoized; this does not change any outcome, only skips re-tests.  When a
-    candidate lies outside the currently known witness, deleting it is a
-    success without consulting the oracle.
-    """
-    held = set(g.vertices)
-    failed: set[VertexId] = set()
-    while True:
-        progressed = False
-        for v in sorted(held):
-            if v in failed:
-                continue
-            if v not in witness:
-                held.remove(v)
-                progressed = True
-                break
-            rest = g.induced_by_vertices(held - {v})
-            found = _witness_at_least(rest, lam)
-            if found is None:
-                failed.add(v)
-            else:
-                held.remove(v)
-                witness = found
-                progressed = True
-                break
-        if not progressed:
-            break
-    result = g.induced_by_vertices(held)
-    if not result.is_connected() or density(result) != lam:
-        raise InternalInvariantError("minimal densest subgraph extraction failed")
-    return frozenset(held)
-
-
 def minimal_densest_subgraph(g: Multigraph) -> frozenset[VertexId]:
-    """A vertex-minimal connected subgraph of density af(G)."""
-    if not g.is_connected():
-        raise DisconnectedGraphError("graph must be connected")
-    if g.num_edges() == 0:
-        raise GraphInputError("graph has no edges")
-    cert = fractional_arboricity(g)
-    return _shrink_to_minimal(g, cert.value, cert.witness)
+    """A vertex-minimal connected subgraph of density af(G): the first of
+    ``enumerate_minimal_densest_subgraphs(g)``, i.e. the one whose sorted
+    vertex list is lexicographically smallest."""
+    return enumerate_minimal_densest_subgraphs(g)[0]
 
 
 def _enumerate_mds(g: Multigraph, lam: Fraction) -> list[frozenset[VertexId]]:
-    """All minimal densest subgraphs of ``g``, given af(g) = lam.
-
-    Repeatedly extracts one minimal densest subgraph and removes its edges;
-    minimal densest subgraphs are pairwise edge-disjoint, so this finds each
-    exactly once.  Stops when the remaining graph no longer attains lam.
-    """
-    found: list[frozenset[VertexId]] = []
-    current = g
-    while current.num_edges() > 0:
-        witness = _witness_at_least(current, lam)
-        if witness is None:
-            break
-        mds = _shrink_to_minimal(current, lam, witness)
-        found.append(mds)
-        current = current.delete_edges(
-            current.induced_by_vertices(mds).edge_ids
-        )
+    """The minimal connected subgraphs of ``g`` of density lam >= af(g) (the
+    minimal densest subgraphs when lam = af(g)), ordered by their sorted
+    vertex lists; empty when no subgraph attains lam."""
+    verts, us, vs = _compact(g)
+    raw = kernels.minimal_densest(len(verts), us, vs, lam.numerator, lam.denominator)
+    if raw is None:
+        raise InternalInvariantError("a subgraph is denser than the given af")
+    found = [frozenset(verts[i] for i in mds) for mds in raw]
+    for mds in found:
+        sub = g.induced_by_vertices(mds)
+        if not sub.is_connected() or density(sub) != lam:
+            raise InternalInvariantError("minimal densest subgraph extraction failed")
     return found
 
 
 def enumerate_minimal_densest_subgraphs(
     g: Multigraph,
 ) -> list[frozenset[VertexId]]:
-    """All minimal densest subgraphs, in deterministic discovery order."""
+    """All minimal densest subgraphs, ordered by their sorted vertex lists."""
     if not g.is_connected():
         raise DisconnectedGraphError("graph must be connected")
     if g.num_edges() == 0:

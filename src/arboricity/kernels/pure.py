@@ -1,25 +1,36 @@
-"""Density-witness kernel in pure Python: the hot inner loop of the package.
+"""Density kernel in pure Python: the hot inner loop of the package.
 
-The kernel answers one question: given a multigraph (compact integer arrays)
-and a rational threshold p/q, is there a connected vertex set U whose induced
-density m(U)/(|U|-1) exceeds p/q?  It returns the source side of a min cut
-witnessing the first successful trial (which may induce several components;
-the caller picks one), or None.
+Every exact decision is an integer max flow on one network: the source
+feeds each live edge q units, an edge passes them to its two endpoints, and
+each vertex drains p units into the sink.  Forcing a root r to be free (its
+sink arc gets capacity 0) prices vertex sets containing r by p/q per vertex
+*beyond* r, so the maximum of q*m(U) - p*(|U|-1) over U containing r is
+positive exactly when the max flow falls short of q times the number of live
+edges.  Roots are taken in ascending order; before the first and after each
+root is deleted, vertices that no wanted set can contain are peeled by
+degree.
 
-Procedure: peel vertices of degree <= p/q (cannot belong to a vertex-minimal
-witness, and removing them keeps some witness intact); run one flow with no
-root as a shortcut; then force each surviving vertex r in ascending order to
-be free (its sink arc gets capacity 0), which prices vertex sets containing r
-by p/q per vertex *beyond* r.  A witness containing r makes the maximum of
-q*m(U) - p*(|U|-1) positive, i.e. the max flow falls short of q times the
-number of live edges.  A failed root proves no witness contains it, so it is
-deleted before the next trial.
+``sweep`` asks whether a connected vertex set is denser than p/q.  It peels
+vertices of degree <= p/q, runs one flow with no root as a shortcut, then one
+per root, and returns the source side of a min cut witnessing the first
+successful trial (which may induce several components; the caller picks
+one), or None.  A failed root proves no witness contains it.
+
+``minimal_densest`` reads, at p/q = af, every minimal densest vertex set.
+At af the min cuts of a root's flow are exactly the cuts of the vertex sets
+{}, {r} and the densest sets containing r, and by Picard & Queyranne (1980)
+these are the closed sets of the residual graph; so the smallest densest set
+containing r and a vertex w is what w reaches in the residual graph, unless
+w reaches the sink.  A minimal densest set is found at its first root: no
+earlier root lies in it, and every vertex of it has degree >= af inside it,
+so the peel (strict here, since a 2-vertex set of af parallel edges has
+degree exactly af) keeps it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 NAME = "pure"
 
@@ -36,9 +47,6 @@ def _dinic(
     flow = 0
     level = [0] * num_nodes
     it = [0] * num_nodes
-    # no augmenting path carries more than the source can send, so this
-    # limit never binds, whatever the size of the capacities
-    INF = sum(arc_cap[a] for a in adj[source]) + 1
 
     while True:
         for i in range(num_nodes):
@@ -56,26 +64,50 @@ def _dinic(
         for i in range(num_nodes):
             it[i] = 0
 
-        def dfs(u: int, limit: int) -> int:
-            if u == sink:
-                return limit
-            while it[u] < len(adj[u]):
-                a = adj[u][it[u]]
-                v = arc_to[a]
-                if arc_cap[a] > 0 and level[v] == level[u] + 1:
-                    pushed = dfs(v, min(limit, arc_cap[a]))
-                    if pushed > 0:
-                        arc_cap[a] -= pushed
-                        arc_cap[a ^ 1] += pushed
-                        return pushed
-                it[u] += 1
-            return 0
-
+        # walk augmenting paths of the level graph with an explicit stack of
+        # arcs: advance along the current arc of u, or retreat from a dead end
+        # and move on to the next arc of its predecessor
         while True:
-            pushed = dfs(source, INF)
-            if pushed == 0:
+            path: list[int] = []
+            u = source
+            while u != sink:
+                arcs = adj[u]
+                while it[u] < len(arcs):
+                    a = arcs[it[u]]
+                    if arc_cap[a] > 0 and level[arc_to[a]] == level[u] + 1:
+                        path.append(a)
+                        u = arc_to[a]
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = arc_to[path.pop() ^ 1]
+                    it[u] += 1
+            if u != sink:
                 break
+            pushed = min(arc_cap[a] for a in path)
+            for a in path:
+                arc_cap[a] -= pushed
+                arc_cap[a ^ 1] += pushed
             flow += pushed
+
+
+def _reach(
+    adj: list[list[int]], arc_to: list[int], arc_cap: list[int], start: int, forward: bool
+) -> set[int]:
+    """Nodes reachable from ``start`` in the residual graph (reaching it if not
+    ``forward``)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for a in adj[u]:
+            v = arc_to[a]
+            if v not in seen and arc_cap[a if forward else a ^ 1] > 0:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def _trial(
@@ -86,18 +118,21 @@ def _trial(
     p: int,
     q: int,
     root: int,
-) -> list[int] | None:
-    """One flow on the live subgraph; ``root`` < 0 means no forced vertex."""
-    vidx = [-1] * n
-    nv = 0
-    for v in range(n):
-        if alive[v]:
-            vidx[v] = nv
-            nv += 1
+) -> tuple[bool, Callable[[int], list[int] | None]]:
+    """One flow on the live subgraph; ``root`` < 0 means no forced vertex.
+
+    Returns whether the flow falls short of q times the number of live edges,
+    and ``side(v)``: the live vertices, ascending, on the source side of the
+    smallest min cut (v < 0) or of the smallest min cut that holds vertex v
+    there, or None when no min cut does.
+    """
+    verts = [v for v in range(n) if alive[v]]
+    node = [0] * n
+    for i, v in enumerate(verts):
+        node[v] = 1 + i
+    nv = len(verts)
     elist = [i for i in range(len(us)) if alive[us[i]] and alive[vs[i]]]
     me = len(elist)
-    if me == 0:
-        return None
 
     num_nodes = 1 + nv + me + 1
     sink = num_nodes - 1
@@ -116,38 +151,37 @@ def _trial(
     for j, i in enumerate(elist):
         enode = 1 + nv + j
         add_arc(0, enode, q)
-        add_arc(enode, 1 + vidx[us[i]], q)
-        add_arc(enode, 1 + vidx[vs[i]], q)
-    for v in range(n):
-        if alive[v]:
-            add_arc(1 + vidx[v], sink, 0 if v == root else p)
+        add_arc(enode, node[us[i]], q)
+        add_arc(enode, node[vs[i]], q)
+    for v in verts:
+        add_arc(node[v], sink, 0 if v == root else p)
 
     flow = _dinic(num_nodes, adj, arc_to, arc_cap, 0, sink)
-    if flow >= q * me:
-        return None
+    into_sink: set[int] | None = None  # built on the first call that needs it
 
-    # Source side of the min cut: nodes reachable from s in the residual.
-    seen = [False] * num_nodes
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for a in adj[u]:
-            v2 = arc_to[a]
-            if arc_cap[a] > 0 and not seen[v2]:
-                seen[v2] = True
-                queue.append(v2)
-    return [v for v in range(n) if alive[v] and seen[1 + vidx[v]]]
+    def side(v: int) -> list[int] | None:
+        nonlocal into_sink
+        if v >= 0:
+            if into_sink is None:
+                into_sink = _reach(adj, arc_to, arc_cap, sink, False)
+            if node[v] in into_sink:
+                return None
+        seen = _reach(adj, arc_to, arc_cap, node[v] if v >= 0 else 0, True)
+        return sorted(verts[x - 1] for x in seen if 0 < x <= nv)
+
+    return flow < q * me, side
 
 
-def sweep(
-    n: int, us: Sequence[int], vs: Sequence[int], p: int, q: int
-) -> list[int] | None:
-    """Find source-side vertices of a witness for density > p/q, or None."""
+def _roots(
+    n: int, us: Sequence[int], vs: Sequence[int], keep: Callable[[int], bool], first: int
+) -> Iterator[tuple[list[bool], int]]:
+    """Yield ``(alive, r)`` for the roots r from ``first`` (-1: no root) up.
+
+    Vertices whose live degree d fails ``keep(d)`` are peeled before the
+    first root and after each root, which is deleted once its trial is done.
+    Dead vertices are skipped; the walk ends when no live edge is left.
+    """
     m = len(us)
-    if n == 0 or m == 0:
-        return None
-
     inc: list[list[int]] = [[] for _ in range(n)]
     deg = [0] * n
     for i in range(m):
@@ -156,56 +190,59 @@ def sweep(
         deg[us[i]] += 1
         deg[vs[i]] += 1
     alive = [True] * n
-    queued = [False] * n  # each vertex enters the peel queue at most once
-    queue: deque[int] = deque()
+    queue = deque(v for v in range(n) if not keep(deg[v]))
 
-    def push(v: int) -> None:
-        if alive[v] and not queued[v]:
-            queued[v] = True
-            queue.append(v)
-
-    def drain() -> None:
-        while queue:
-            v = queue.popleft()
-            if not alive[v]:
-                continue
-            alive[v] = False
-            for i in inc[v]:
-                w = vs[i] if us[i] == v else us[i]
-                if alive[w]:
-                    deg[w] -= 1
-                    if q * deg[w] <= p:
-                        push(w)
-
-    for v in range(n):
-        if q * deg[v] <= p:
-            push(v)
-    drain()
-
-    def have_edges() -> bool:
-        return any(alive[us[i]] and alive[vs[i]] for i in range(m))
-
-    if not have_edges():
-        return None
-
-    result = _trial(n, us, vs, alive, p, q, -1)
-    if result is not None:
-        return result
-
-    for r in range(n):
-        if not alive[r]:
-            continue
-        result = _trial(n, us, vs, alive, p, q, r)
-        if result is not None:
-            return result
-        alive[r] = False
-        for i in inc[r]:
-            w = vs[i] if us[i] == r else us[i]
+    def delete(v: int) -> None:
+        alive[v] = False
+        for i in inc[v]:
+            w = vs[i] if us[i] == v else us[i]
             if alive[w]:
                 deg[w] -= 1
-                if q * deg[w] <= p:
-                    push(w)
-        drain()
-        if not have_edges():
-            return None
+                if keep(deg[w] + 1) and not keep(deg[w]):  # just failed: queue once
+                    queue.append(w)
+
+    for r in range(first, n):
+        while queue:
+            v = queue.popleft()
+            if alive[v]:
+                delete(v)
+        if r >= 0 and not alive[r]:
+            continue
+        if not any(alive[us[i]] and alive[vs[i]] for i in range(m)):
+            return
+        yield alive, r
+        if r >= 0:
+            delete(r)
+
+
+def sweep(
+    n: int, us: Sequence[int], vs: Sequence[int], p: int, q: int
+) -> list[int] | None:
+    """Find source-side vertices of a witness for density > p/q, or None."""
+    for alive, r in _roots(n, us, vs, lambda d: q * d > p, -1):
+        short, side = _trial(n, us, vs, alive, p, q, r)
+        if short:
+            return side(-1)
     return None
+
+
+def minimal_densest(
+    n: int, us: Sequence[int], vs: Sequence[int], p: int, q: int
+) -> list[list[int]] | None:
+    """The inclusion-minimal vertex sets of density exactly p/q, ascending by
+    their sorted vertex lists; None when some set is denser than p/q."""
+    found: set[frozenset[int]] = set()
+    for alive, r in _roots(n, us, vs, lambda d: q * d >= p, 0):
+        short, side = _trial(n, us, vs, alive, p, q, r)
+        if short:
+            return None
+        for w in range(n):
+            if alive[w] and w != r:
+                dense = side(w)
+                if dense is not None:
+                    found.add(frozenset(dense))
+    minimal: list[frozenset[int]] = []
+    for dense in sorted(found, key=len):
+        if not any(m <= dense for m in minimal):
+            minimal.append(dense)
+    return sorted(sorted(m) for m in minimal)

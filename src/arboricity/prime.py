@@ -3,8 +3,8 @@
 The construction contracts, level by level, every minimal densest subgraph of
 the current minor.  Edge sets picked up at level k are the prime sets of
 level k (recorded in original EdgeIds; contraction never renames edges).
-The procedure stops when the contracted graph's fractional arboricity drops
-below af(G); whatever edges remain form the non-prime set E0.  Every edge in
+The procedure stops when the contracted graph has no subgraph of density
+af(G) left; whatever edges remain form the non-prime set E0.  Every edge in
 a prime set lies in some densest minor; no edge of E0 does.
 
 A prime set Q precedes a prime set P when the minor defining P exists only
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import _enumerate_mds, _witness_at_least, fractional_arboricity
+from .density import _enumerate_mds, fractional_arboricity
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
 from .multigraph import EdgeId, Multigraph, VertexId, _UnionFind
 
@@ -79,15 +79,16 @@ def prime_partition(g: Multigraph) -> PrimePartition:
     current = g
     non_prime: frozenset[EdgeId] = frozenset()
     while True:
-        for mds in _enumerate_mds(current, af):
+        found = _enumerate_mds(current, af)
+        if not found:
+            non_prime = current.edge_ids
+            break
+        for mds in found:
             edges = current.induced_by_vertices(mds).edge_ids
             collected.append((edges, level, len(mds)))
             contracted |= edges
         current = g.contract(contracted).as_multigraph()
         if current.num_edges() == 0:
-            break
-        if _witness_at_least(current, af) is None:
-            non_prime = current.edge_ids
             break
         level += 1
 

@@ -159,14 +159,15 @@ def test_mds_properties_random(seed):
         sub = g.induced_by_vertices(u)
         assert sub.is_connected()
         assert Fraction(sub.num_edges(), sub.num_vertices() - 1) == af
-        # vertex-minimality
-        for v in sorted(u):
-            rest = g.induced_by_vertices(u - {v})
-            if rest.num_edges() == 0:
-                continue
-        # noncrossing against every densest subgraph found by the oracle
+    # exactly the inclusion-minimal densest subgraphs found by the oracle,
+    # each once
+    dense_all = enumerate_densest_subgraphs(g, edge_cap=12)
+    minimal = {d for d in dense_all if not any(e < d for e in dense_all)}
+    assert len(set(mds_list)) == len(mds_list)
+    assert set(mds_list) == minimal
+    # noncrossing against every densest subgraph found by the oracle
     e_mds = [g.induced_by_vertices(u).edge_ids for u in mds_list]
-    for dense in enumerate_densest_subgraphs(g, edge_cap=12):
+    for dense in dense_all:
         de = g.induced_by_vertices(dense).edge_ids
         for es in e_mds:
             assert es <= de or not (es & de)

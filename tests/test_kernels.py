@@ -1,6 +1,8 @@
-"""The flow kernel: pinned sweeps, extreme thresholds, and the benchmark's hooks."""
+"""The flow kernel: pinned sweeps and enumerations, extreme thresholds, long
+augmenting paths, and the benchmark's hooks."""
 
 import importlib.util
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arboricity import exceeds_density, kernels, prime_partition
+from arboricity.cli import main as cli_main
+from arboricity.kernels import pure
 from arboricity.oracle import brute_fractional_arboricity
 
 from conftest import k4, random_connected, two_k4_bridge
@@ -22,6 +26,28 @@ BIG = 10**30
 )
 def test_sweep_on_parallel_edges(p, q, expected):
     assert kernels.sweep(4, [0, 0, 1, 2, 2], [1, 1, 2, 3, 3], p, q) == expected
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    # at af = 2 vertex 0 has degree exactly 2: a peel at degree <= p/q would
+    # lose {0, 1}; at 3/2 < af the flow finds a denser set
+    [(2, 1, [[0, 1], [2, 3]]), (5, 2, []), (3, 2, None)],
+)
+def test_minimal_densest_on_parallel_edges(p, q, expected):
+    got = kernels.minimal_densest(4, [0, 0, 1, 2, 2], [1, 1, 2, 3, 3], p, q)
+    assert got == expected
+
+
+def test_long_augmenting_paths(tmp_path):
+    # a doubled cycle listed cycle-then-cycle gives augmenting paths of about
+    # n arcs, far beyond the interpreter's recursion limit
+    n = 1500
+    graph_file = tmp_path / "cycle.txt"
+    graph_file.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)) * 2)
+    out = tmp_path / "af.json"
+    assert cli_main(["af", str(graph_file), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["af"] == f"{2 * n}/{n - 1}"
 
 
 @pytest.mark.parametrize(
@@ -48,9 +74,18 @@ def test_extreme_thresholds_match_brute_force(seed):
         assert (exceeds_density(g, lam) is not None) == (af > lam)
 
 
-def test_tracer_counts_the_kernel():
-    # the benchmark's tracer finds the kernel through kernels.sweep and
-    # kernels.active()._trial; a missing hook would read zero, not fail
+def test_tracer_counts_the_kernel(monkeypatch):
+    # the benchmark's tracer finds the kernel through kernels.sweep,
+    # kernels.active()._trial and density._enumerate_mds; a missing hook
+    # would read zero, and a flow outside _trial would go uncounted
+    flows = []
+    dinic = pure._dinic
+
+    def counted(*args):
+        flows.append(1)
+        return dinic(*args)
+
+    monkeypatch.setattr(pure, "_dinic", counted)
     path = Path(__file__).resolve().parents[1] / "pipeline_bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("pipeline_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -65,4 +100,5 @@ def test_tracer_counts_the_kernel():
     metrics = tracer.layer_metrics(1)
     assert kernels.active().NAME == "pure"
     assert metrics["kernels.sweep_calls"][0] > 0
-    assert metrics["kernels.trials"][0] > 0
+    assert metrics["kernels.trials"][0] == len(flows) > 0
+    assert metrics["density.mds_found"][0] == 3  # two K4s, then the bridge bundle
