@@ -245,21 +245,25 @@ class MaschlerState:
     unfixed: int
 
 
+def _indicator(mask: int, m: int) -> tuple[int, ...]:
+    # built from a list, as the note above ``simplex.make_lp`` explains
+    return tuple([mask >> j & 1 for j in range(m)])
+
+
 class _Face:
     """H-representation of the current optimal face, over x in Q^m."""
 
     def __init__(self, m: int, grand: int):
         self.m = m
-        self.eq_rows: list[tuple[tuple[Fraction, ...], Fraction]] = [
-            (tuple(Fraction(1) for _ in range(m)), Fraction(grand))
+        # coalition rows are int 0/1 indicators, which the simplex reads
+        # without converting them to Fraction
+        self.eq_rows: list[tuple[tuple[int, ...], Fraction | int]] = [
+            ((1,) * m, grand)
         ]
-        self.ineq_rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+        self.ineq_rows: list[tuple[tuple[int, ...], Fraction | int]] = []
 
     def add_coalition_bound(self, mask: int, bound: Fraction) -> None:
-        row = tuple(
-            Fraction(1) if mask >> j & 1 else ZERO for j in range(self.m)
-        )
-        self.ineq_rows.append((row, bound))
+        self.ineq_rows.append((_indicator(mask, self.m), bound))
 
     def optimize(self, direction: Sequence[Fraction]) -> tuple[Fraction, tuple[Fraction, ...]]:
         rows = [(row, EQ, b) for row, b in self.eq_rows]
@@ -278,15 +282,12 @@ class _Face:
         m = self.m
         rows = []
         for row, b in self.eq_rows:
-            rows.append((tuple(row) + (ZERO,), EQ, b))
+            rows.append((row + (0,), EQ, b))
         for row, b in self.ineq_rows:
-            rows.append((tuple(row) + (ZERO,), LE, b))
+            rows.append((row + (0,), LE, b))
         for mask in masks:
-            row = tuple(
-                Fraction(1) if mask >> j & 1 else ZERO for j in range(m)
-            ) + (Fraction(1),)
-            rows.append((row, LE, Fraction(table[mask])))
-        objective = [ZERO] * m + [Fraction(1)]
+            rows.append((_indicator(mask, m) + (1,), LE, table[mask]))
+        objective = [0] * m + [1]
         lp = make_lp(objective, rows, [True] * m + [False])
         res = simplex_solve(lp)
         if res.status != "optimal":
@@ -348,7 +349,7 @@ def _affine_hull(
             fixed.append(d)
         else:
             span.append(
-                tuple(a - b for a, b in zip(x_hi, x_lo))
+                tuple([a - b for a, b in zip(x_hi, x_lo)])
             )
 
 

@@ -124,10 +124,10 @@ def test_excess_vector_lex_optimality():
 
 
 @given(st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_maschler_matches_fast_nucleolus(seed):
     rng = random.Random(seed)
-    g = random_connected(rng, n_max=5, m_max=7)
+    g = random_connected(rng, n_max=7, m_max=10)
     if not core_nonempty(g).nonempty:
         return
     assert maschler_nucleolus(g) == nucleolus(g)
@@ -137,7 +137,7 @@ def test_maschler_matches_fast_nucleolus(seed):
 @settings(max_examples=25, deadline=None)
 def test_maschler_output_in_core(seed):
     rng = random.Random(seed)
-    g = random_connected(rng, n_max=5, m_max=7)
+    g = random_connected(rng, n_max=7, m_max=10)
     if not core_nonempty(g).nonempty:
         return
     x = maschler_nucleolus(g)
