@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 parse/input error, 3 precondition failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -199,7 +200,9 @@ def _emit(doc: dict, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="arboricity",
         description="Fractional arboricity, prime partition, and the "
@@ -237,8 +240,11 @@ def main(argv: list[str] | None = None) -> int:
     p_or.add_argument("graph")
     p_or.add_argument("--cap", type=int, default=None)
     p_or.add_argument("--output", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "af":
             doc = cmd_af(args.graph)

@@ -4,9 +4,10 @@
 ``minimal_densest`` lists the minimal vertex sets of density exactly p/q
 (at p/q = af, the minimal densest subgraphs); callers use them as
 ``kernels.sweep`` and ``kernels.minimal_densest``.  Both are implemented in
-``pure``.  ``active()`` returns the kernel module, so code that inspects the
-kernel (its ``NAME``, its per-flow ``_trial``) does not depend on the module
-layout.
+``pure``: each call builds one flow network and carries one max flow on it
+from root to root, re-augmenting it after every deletion.  ``active()``
+returns the kernel module, so code that inspects the kernel (its ``NAME``,
+its ``_trial``, called once per flow) does not depend on the module layout.
 """
 
 from __future__ import annotations

@@ -10,6 +10,15 @@ edges.  Roots are taken in ascending order; before the first and after each
 root is deleted, vertices that no wanted set can contain are peeled by
 degree.
 
+A call walks its roots on one network, built once over all its vertices and
+edges, and carries one max flow on it from trial to trial (Gallo,
+Grigoriadis & Tarjan, 1989).  Freeing a root drains its sink flow back to
+the source; deleting a vertex or an edge cancels the flow through it and
+zeroes its arcs; each trial then re-augments from the residual graph left
+by the previous one.  The max-flow value and the closed sets of the
+residual graph are the same for every max flow (Picard & Queyranne, 1980),
+so no answer depends on where the flow started.
+
 ``sweep`` asks whether a connected vertex set is denser than p/q.  It peels
 vertices of degree <= p/q, runs one flow with no root as a shortcut, then one
 per root, and returns the source side of a min cut witnessing the first
@@ -110,117 +119,148 @@ def _reach(
     return seen
 
 
-def _trial(
-    n: int,
-    us: Sequence[int],
-    vs: Sequence[int],
-    alive: list[bool],
-    p: int,
-    q: int,
-    root: int,
-) -> tuple[bool, Callable[[int], list[int] | None]]:
-    """One flow on the live subgraph; ``root`` < 0 means no forced vertex.
+class _Walk:
+    """One root walk: the network over all n vertices and m edges of the
+    call, built once, and the max flow carried on it from trial to trial.
+
+    Edge i is node n + i with arcs source->e, e->us[i] and e->vs[i] at 6i,
+    6i + 2 and 6i + 4; vertex v is node v with its sink arc at 6m + 2v.
+    Every reverse arc starts at 0, so the flow on arc a is ``cap[a ^ 1]``.
+    A deleted edge or vertex has all its arcs at 0 in both directions: no
+    residual arc enters or leaves it.
+    """
+
+    def __init__(
+        self, n: int, us: Sequence[int], vs: Sequence[int], p: int, q: int,
+        keep: Callable[[int], bool],
+    ) -> None:
+        m = len(us)
+        self.n, self.us, self.vs, self.q, self.keep = n, us, vs, q, keep
+        self.num_nodes = n + m + 2
+        self.source, self.sink = n + m, n + m + 1
+        self.adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        self.arc_to: list[int] = []
+        self.cap: list[int] = []
+        self.inc: list[list[int]] = [[] for _ in range(n)]
+        self.deg = [0] * n
+        for i in range(m):  # appended in this order, arcs get the indices above
+            self._arc(self.source, n + i, q)
+            self._arc(n + i, us[i], q)
+            self._arc(n + i, vs[i], q)
+            for v in (us[i], vs[i]):
+                self.inc[v].append(i)
+                self.deg[v] += 1
+        for v in range(n):
+            self._arc(v, self.sink, p)
+        self.sink_arc = 6 * m  # vertex v's is sink_arc + 2v
+        self.flow = 0
+        self.live = m  # edges with both endpoints alive
+        self.alive = [True] * n
+        self.queue = deque(v for v in range(n) if not keep(self.deg[v]))
+
+    def _arc(self, a: int, b: int, cap: int) -> None:
+        self.adj[a].append(len(self.arc_to))
+        self.arc_to.append(b)
+        self.cap.append(cap)
+        self.adj[b].append(len(self.arc_to))
+        self.arc_to.append(a)
+        self.cap.append(0)
+
+    def free(self, r: int) -> None:
+        """Close r's sink arc, first draining its flow back to the source."""
+        cap, us = self.cap, self.us
+        s = self.sink_arc + 2 * r
+        self.flow -= cap[s + 1]
+        for i in self.inc[r]:
+            a = 6 * i + (2 if us[i] == r else 4)
+            f = cap[a + 1]
+            if f:
+                cap[a] += f
+                cap[a + 1] = 0
+                cap[6 * i] += f
+                cap[6 * i + 1] -= f
+        cap[s] = cap[s + 1] = 0
+
+    def delete(self, v: int) -> None:
+        """Delete v and its live edges, cancelling the flow through them."""
+        cap, us, vs, deg, alive, keep = self.cap, self.us, self.vs, self.deg, self.alive, self.keep
+        alive[v] = False
+        for i in self.inc[v]:
+            w = vs[i] if us[i] == v else us[i]
+            if not alive[w]:
+                continue
+            for end, a in ((us[i], 6 * i + 2), (vs[i], 6 * i + 4)):
+                f = cap[a + 1]
+                if f:
+                    s = self.sink_arc + 2 * end
+                    cap[s] += f
+                    cap[s + 1] -= f
+                    self.flow -= f
+            cap[6 * i : 6 * i + 6] = (0, 0, 0, 0, 0, 0)
+            self.live -= 1
+            deg[w] -= 1
+            if keep(deg[w] + 1) and not keep(deg[w]):  # just failed: queue once
+                self.queue.append(w)
+        s = self.sink_arc + 2 * v
+        cap[s] = cap[s + 1] = 0
+
+    def roots(self, first: int) -> Iterator[int]:
+        """Yield the roots r from ``first`` (-1: no root) up, each freed.
+
+        Vertices whose live degree d fails ``keep(d)`` are peeled before the
+        first root and after each root, which is deleted once its trial is
+        done.  Dead vertices are skipped; the walk ends when no live edge is
+        left.
+        """
+        queue, alive = self.queue, self.alive
+        for r in range(first, self.n):
+            while queue:
+                v = queue.popleft()
+                if alive[v]:
+                    self.delete(v)
+            if r >= 0 and not alive[r]:
+                continue
+            if not self.live:
+                return
+            if r >= 0:
+                self.free(r)
+            yield r
+            if r >= 0:
+                self.delete(r)
+
+
+def _trial(walk: _Walk) -> tuple[bool, Callable[[int], list[int] | None]]:
+    """Re-augment the walk's flow to a max flow on its live subgraph.
 
     Returns whether the flow falls short of q times the number of live edges,
     and ``side(v)``: the live vertices, ascending, on the source side of the
     smallest min cut (v < 0) or of the smallest min cut that holds vertex v
     there, or None when no min cut does.
     """
-    verts = [v for v in range(n) if alive[v]]
-    node = [0] * n
-    for i, v in enumerate(verts):
-        node[v] = 1 + i
-    nv = len(verts)
-    elist = [i for i in range(len(us)) if alive[us[i]] and alive[vs[i]]]
-    me = len(elist)
-
-    num_nodes = 1 + nv + me + 1
-    sink = num_nodes - 1
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
-
-    def add_arc(a: int, b: int, cap: int) -> None:
-        adj[a].append(len(arc_to))
-        arc_to.append(b)
-        arc_cap.append(cap)
-        adj[b].append(len(arc_to))
-        arc_to.append(a)
-        arc_cap.append(0)
-
-    for j, i in enumerate(elist):
-        enode = 1 + nv + j
-        add_arc(0, enode, q)
-        add_arc(enode, node[us[i]], q)
-        add_arc(enode, node[vs[i]], q)
-    for v in verts:
-        add_arc(node[v], sink, 0 if v == root else p)
-
-    flow = _dinic(num_nodes, adj, arc_to, arc_cap, 0, sink)
+    adj, arc_to, cap, n = walk.adj, walk.arc_to, walk.cap, walk.n
+    walk.flow += _dinic(walk.num_nodes, adj, arc_to, cap, walk.source, walk.sink)
     into_sink: set[int] | None = None  # built on the first call that needs it
 
     def side(v: int) -> list[int] | None:
         nonlocal into_sink
         if v >= 0:
             if into_sink is None:
-                into_sink = _reach(adj, arc_to, arc_cap, sink, False)
-            if node[v] in into_sink:
+                into_sink = _reach(adj, arc_to, cap, walk.sink, False)
+            if v in into_sink:
                 return None
-        seen = _reach(adj, arc_to, arc_cap, node[v] if v >= 0 else 0, True)
-        return sorted(verts[x - 1] for x in seen if 0 < x <= nv)
+        seen = _reach(adj, arc_to, cap, v if v >= 0 else walk.source, True)
+        return sorted(x for x in seen if x < n)
 
-    return flow < q * me, side
-
-
-def _roots(
-    n: int, us: Sequence[int], vs: Sequence[int], keep: Callable[[int], bool], first: int
-) -> Iterator[tuple[list[bool], int]]:
-    """Yield ``(alive, r)`` for the roots r from ``first`` (-1: no root) up.
-
-    Vertices whose live degree d fails ``keep(d)`` are peeled before the
-    first root and after each root, which is deleted once its trial is done.
-    Dead vertices are skipped; the walk ends when no live edge is left.
-    """
-    m = len(us)
-    inc: list[list[int]] = [[] for _ in range(n)]
-    deg = [0] * n
-    for i in range(m):
-        inc[us[i]].append(i)
-        inc[vs[i]].append(i)
-        deg[us[i]] += 1
-        deg[vs[i]] += 1
-    alive = [True] * n
-    queue = deque(v for v in range(n) if not keep(deg[v]))
-
-    def delete(v: int) -> None:
-        alive[v] = False
-        for i in inc[v]:
-            w = vs[i] if us[i] == v else us[i]
-            if alive[w]:
-                deg[w] -= 1
-                if keep(deg[w] + 1) and not keep(deg[w]):  # just failed: queue once
-                    queue.append(w)
-
-    for r in range(first, n):
-        while queue:
-            v = queue.popleft()
-            if alive[v]:
-                delete(v)
-        if r >= 0 and not alive[r]:
-            continue
-        if not any(alive[us[i]] and alive[vs[i]] for i in range(m)):
-            return
-        yield alive, r
-        if r >= 0:
-            delete(r)
+    return walk.flow < walk.q * walk.live, side
 
 
 def sweep(
     n: int, us: Sequence[int], vs: Sequence[int], p: int, q: int
 ) -> list[int] | None:
     """Find source-side vertices of a witness for density > p/q, or None."""
-    for alive, r in _roots(n, us, vs, lambda d: q * d > p, -1):
-        short, side = _trial(n, us, vs, alive, p, q, r)
+    walk = _Walk(n, us, vs, p, q, lambda d: q * d > p)
+    for _ in walk.roots(-1):
+        short, side = _trial(walk)
         if short:
             return side(-1)
     return None
@@ -232,8 +272,10 @@ def minimal_densest(
     """The inclusion-minimal vertex sets of density exactly p/q, ascending by
     their sorted vertex lists; None when some set is denser than p/q."""
     found: set[frozenset[int]] = set()
-    for alive, r in _roots(n, us, vs, lambda d: q * d >= p, 0):
-        short, side = _trial(n, us, vs, alive, p, q, r)
+    walk = _Walk(n, us, vs, p, q, lambda d: q * d >= p)
+    alive = walk.alive
+    for r in walk.roots(0):
+        short, side = _trial(walk)
         if short:
             return None
         for w in range(n):

@@ -8,7 +8,8 @@ by round; a set removed in round k is worth k*epsilon.  Epsilon itself is
 fixed by the tight-tree normalization sum((n_p - 1) * y_P) = 1.
 
 The multiplier of a prime set equals its height in the ancestor order; both
-the round simulation and the height recursion are computed and compared.
+the round simulation and a depth-first height computation are run and
+compared.
 """
 
 from __future__ import annotations
@@ -48,42 +49,53 @@ class NucleolusSolution:
 def peel(poset: AncestorPoset) -> dict[int, int]:
     """Round number at which each prime set becomes minimal and is removed."""
     parents = poset.parents
-    below: dict[int, set[int]] = {pid: set() for pid in parents}
-    for pid in parents:
-        for anc in poset.ancestors_of(pid):
-            below[anc].add(pid)
+    children: dict[int, list[int]] = {pid: [] for pid in parents}
+    for pid, ps in parents.items():
+        for par in ps:
+            children[par].append(pid)
 
-    remaining = set(parents)
+    # a set is minimal once its last child is removed: every descendant lies
+    # below some child, and a child goes only after all of its own
+    waiting = {pid: len(c) for pid, c in children.items()}
+    minimal = [pid for pid, c in waiting.items() if not c]
     rounds: dict[int, int] = {}
     k = 0
-    while remaining:
+    while minimal:
         k += 1
-        minimal = [p for p in remaining if not (below[p] & remaining)]
-        if not minimal:
-            raise InternalInvariantError("ancestor order contains a cycle")
         for p in minimal:
             rounds[p] = k
-        remaining -= set(minimal)
+        freed = []
+        for p in minimal:
+            for par in parents[p]:
+                waiting[par] -= 1
+                if not waiting[par]:
+                    freed.append(par)
+        minimal = freed
+    if len(rounds) != len(parents):
+        raise InternalInvariantError("ancestor order contains a cycle")
 
-    heights = _heights(parents, below)
-    if heights != rounds:
+    if _heights(children) != rounds:
         raise InternalInvariantError("peeling rounds disagree with poset heights")
     return rounds
 
 
-def _heights(
-    parents: dict[int, frozenset[int]], below: dict[int, set[int]]
-) -> dict[int, int]:
+def _heights(children: dict[int, list[int]]) -> dict[int, int]:
+    """1 + the longest chain of children below each set of an acyclic order,
+    by depth-first post-order with an explicit stack."""
     height: dict[int, int] = {}
-
-    def compute(pid: int) -> int:
-        if pid in height:
-            return height[pid]
-        height[pid] = 1 + max((compute(c) for c in below[pid]), default=0)
-        return height[pid]
-
-    for pid in parents:
-        compute(pid)
+    for start in children:
+        stack = [start]
+        while stack:
+            p = stack[-1]
+            if p in height:
+                stack.pop()
+                continue
+            pending = [c for c in children[p] if c not in height]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop()
+                height[p] = 1 + max((height[c] for c in children[p]), default=0)
     return height
 
 

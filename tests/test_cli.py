@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 from fractions import Fraction
 
@@ -28,6 +30,22 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_main_leaves_no_parser_garbage(tmp_path, capsys):
+    # the parser is built once and kept, not rebuilt into reference cycles
+    # that only the cycle collector frees
+    path = write(tmp_path, "k4.txt", K4)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, "af", path)[0] == 0
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not parsers
 
 
 def test_af_triangle(tmp_path, capsys):

@@ -146,12 +146,12 @@ def test_af_matches_brute_force(seed):
 
 
 @given(st.integers(0, 10**6))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_mds_properties_random(seed):
     import random
 
     rng = random.Random(seed)
-    g = random_connected(rng, n_max=6, m_max=10)
+    g = random_connected(rng, n_max=7, m_max=11)
     af = fractional_arboricity(g).value
     mds_list = enumerate_minimal_densest_subgraphs(g)
     assert mds_list

@@ -6,6 +6,7 @@ from arboricity import (
     AncestorPoset,
     EmptyCoreError,
     GraphInputError,
+    InternalInvariantError,
     Multigraph,
     ancestors,
     core_membership,
@@ -36,6 +37,29 @@ def test_peel_antichain():
 def test_peel_two_k4_bridge_poset():
     poset = AncestorPoset({0: frozenset(), 1: frozenset(), 2: frozenset({0, 1})})
     assert peel(poset) == {0: 2, 1: 2, 2: 1}
+
+
+def test_peel_long_chain():
+    # one set per level: far deeper than the interpreter's recursion limit
+    n = 1500
+    poset = AncestorPoset({i: frozenset({i + 1}) if i + 1 < n else frozenset() for i in range(n)})
+    assert peel(poset) == {i: i + 1 for i in range(n)}
+
+
+def test_peel_antichain_under_chain():
+    # 1,000 incomparable sets, all below the bottom of a 601-set chain
+    width, top = 1000, 1600
+    parents = {i: frozenset({width}) for i in range(width)}
+    parents.update({j: frozenset({j + 1}) for j in range(width, top)})
+    parents[top] = frozenset()
+    rounds = peel(AncestorPoset(parents))
+    assert rounds == {i: 1 if i < width else i - width + 2 for i in range(top + 1)}
+
+
+def test_peel_rejects_a_cycle():
+    poset = AncestorPoset({0: frozenset({1}), 1: frozenset({0}), 2: frozenset()})
+    with pytest.raises(InternalInvariantError):
+        peel(poset)
 
 
 def test_peel_four_k4_chain_poset():
