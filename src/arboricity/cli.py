@@ -8,8 +8,10 @@ starting at 0, and all output refers to edges by that index.
 Results are emitted as JSON with stable key order; every rational is a
 string "p/q" in lowest terms (integers appear without a denominator).
 
-Exit codes: 0 success, 2 parse/input error, 3 precondition failure
-(disconnected graph, empty core), 4 resource cap exceeded.
+Exit codes: 0 success; otherwise the code that ``EXIT_CODES`` gives the
+library error raised (2 parse/input error, 3 precondition failure:
+disconnected graph or empty core, 4 resource cap exceeded).  Any other
+exception is a bug and escapes ``main`` with its traceback.
 """
 
 from __future__ import annotations
@@ -33,15 +35,12 @@ from .errors import (
 from .multigraph import Multigraph
 from .nucleolus import solve_nucleolus
 
-EXIT_INPUT = 2
-EXIT_PRECONDITION = 3
-EXIT_RESOURCE = 4
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+EXIT_CODES: dict[type[Exception], int] = {
+    GraphInputError: 2,
+    DisconnectedGraphError: 3,
+    EmptyCoreError: 3,
+    ResourceLimitError: 4,
+}
 
 
 def parse_graph_file(path: str) -> Multigraph:
@@ -49,31 +48,29 @@ def parse_graph_file(path: str) -> Multigraph:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+        raise GraphInputError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
         if len(parts) != 2:
-            raise _CliError(
-                EXIT_INPUT, f"{path}:{lineno}: expected two vertex labels"
-            )
+            raise GraphInputError(f"{path}:{lineno}: expected two vertex labels")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise _CliError(
-                EXIT_INPUT, f"{path}:{lineno}: vertex labels must be integers"
+            raise GraphInputError(
+                f"{path}:{lineno}: vertex labels must be integers"
             ) from None
         if u < 0 or v < 0:
-            raise _CliError(
-                EXIT_INPUT, f"{path}:{lineno}: vertex labels must be nonnegative"
+            raise GraphInputError(
+                f"{path}:{lineno}: vertex labels must be nonnegative"
             )
         if u == v:
-            raise _CliError(EXIT_INPUT, f"{path}:{lineno}: self-loop {u} {v}")
+            raise GraphInputError(f"{path}:{lineno}: self-loop {u} {v}")
         pairs.append((u, v))
     if not pairs:
-        raise _CliError(EXIT_INPUT, f"{path}: no edges")
+        raise GraphInputError(f"{path}: no edges")
     return Multigraph.from_edge_list(pairs)
 
 
@@ -81,7 +78,7 @@ def parse_allocation_file(path: str, num_edges: int) -> dict[int, Fraction]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
+        raise GraphInputError(f"cannot read {path}: {exc}") from exc
     values: list[Fraction] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -90,14 +87,11 @@ def parse_allocation_file(path: str, num_edges: int) -> dict[int, Fraction]:
         try:
             values.append(Fraction(stripped))
         except (ValueError, ZeroDivisionError):
-            raise _CliError(
-                EXIT_INPUT, f"{path}:{lineno}: not a rational: {stripped!r}"
+            raise GraphInputError(
+                f"{path}:{lineno}: not a rational: {stripped!r}"
             ) from None
     if len(values) != num_edges:
-        raise _CliError(
-            EXIT_INPUT,
-            f"{path}: {len(values)} values for {num_edges} edges",
-        )
+        raise GraphInputError(f"{path}: {len(values)} values for {num_edges} edges")
     return {i: v for i, v in enumerate(values)}
 
 
@@ -105,14 +99,7 @@ def _rat(x: Fraction | int) -> str:
     return str(Fraction(x))
 
 
-def _require_connected(g: Multigraph) -> None:
-    if not g.is_connected():
-        raise _CliError(EXIT_PRECONDITION, "graph is not connected")
-
-
-def cmd_af(path: str) -> dict:
-    g = parse_graph_file(path)
-    _require_connected(g)
+def cmd_af(g: Multigraph, args: argparse.Namespace) -> dict:
     cert = fractional_arboricity(g)
     return {
         "af": _rat(cert.value),
@@ -121,9 +108,7 @@ def cmd_af(path: str) -> dict:
     }
 
 
-def cmd_prime_partition(path: str) -> dict:
-    g = parse_graph_file(path)
-    _require_connected(g)
+def cmd_prime_partition(g: Multigraph, args: argparse.Namespace) -> dict:
     pp = prime.prime_partition(g)
     poset = prime._ancestor_order(g, pp)
     return {
@@ -144,10 +129,8 @@ def cmd_prime_partition(path: str) -> dict:
     }
 
 
-def cmd_nucleolus(path: str, variant: bool = False) -> dict:
-    g = parse_graph_file(path)
-    _require_connected(g)
-    sol = solve_nucleolus(g, variant)
+def cmd_nucleolus(g: Multigraph, args: argparse.Namespace) -> dict:
+    sol = solve_nucleolus(g, args.variant)
     status = sol.status
     return {
         "core_nonempty": status.nonempty,
@@ -155,14 +138,12 @@ def cmd_nucleolus(path: str, variant: bool = False) -> dict:
         "arboricity": status.arboricity,
         "epsilon": _rat(sol.epsilon),
         "allocation": [_rat(sol.allocation[e]) for e in sorted(g.edge_ids)],
-        "gamma": _rat(status.af if variant else status.arboricity),
+        "gamma": _rat(status.af if args.variant else status.arboricity),
     }
 
 
-def cmd_core_check(path: str, allocation_path: str) -> dict:
-    g = parse_graph_file(path)
-    _require_connected(g)
-    x = parse_allocation_file(allocation_path, g.num_edges())
+def cmd_core_check(g: Multigraph, args: argparse.Namespace) -> dict:
+    x = parse_allocation_file(args.allocation, g.num_edges())
     result = game.core_membership(g, x)
     doc: dict = {"verdict": result.verdict}
     if result.witness is not None:
@@ -170,26 +151,22 @@ def cmd_core_check(path: str, allocation_path: str) -> dict:
     return doc
 
 
-def cmd_oracle(path: str, subcommand: str, cap: int | None) -> dict:
-    g = parse_graph_file(path)
-    _require_connected(g)
-    kwargs = {"edge_cap": cap} if cap is not None else {}
-    if subcommand == "af":
+def cmd_oracle(g: Multigraph, args: argparse.Namespace) -> dict:
+    kwargs = {"edge_cap": args.cap} if args.cap is not None else {}
+    if args.subcommand == "af":
         value, witness = oracle.brute_fractional_arboricity(g, **kwargs)
         a = math.ceil(value)
         return {"af": _rat(value), "arboricity": a, "witness": sorted(witness)}
-    if subcommand == "densest-list":
+    if args.subcommand == "densest-list":
         subs = oracle.enumerate_densest_subgraphs(g, **kwargs)
         return {"densest": [sorted(s) for s in subs]}
-    if subcommand == "nucleolus":
-        alloc = oracle.maschler_nucleolus(g, **kwargs)
-        total = sum(alloc.values())
-        return {
-            "core_nonempty": True,
-            "allocation": [_rat(alloc[e]) for e in sorted(g.edge_ids)],
-            "gamma": _rat(total),
-        }
-    raise _CliError(EXIT_INPUT, f"unknown oracle subcommand {subcommand!r}")
+    # "nucleolus": argparse's choices admit no other subcommand
+    alloc =oracle.maschler_nucleolus(g, **kwargs)
+    return {
+        "core_nonempty": True,
+        "allocation": [_rat(alloc[e]) for e in sorted(g.edge_ids)],
+        "gamma": _rat(sum(alloc.values())),
+    }
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -213,10 +190,12 @@ def _parser() -> argparse.ArgumentParser:
     p_af = sub.add_parser("af", help="fractional arboricity and witness")
     p_af.add_argument("graph")
     p_af.add_argument("--output", default=None)
+    p_af.set_defaults(run=cmd_af)
 
     p_pp = sub.add_parser("prime-partition", help="prime sets, E0, parents")
     p_pp.add_argument("graph")
     p_pp.add_argument("--output", default=None)
+    p_pp.set_defaults(run=cmd_prime_partition)
 
     p_nuc = sub.add_parser("nucleolus", help="exact nucleolus allocation")
     p_nuc.add_argument("graph")
@@ -227,11 +206,13 @@ def _parser() -> argparse.ArgumentParser:
         "(drops the integrality precondition)",
     )
     p_nuc.add_argument("--output", default=None)
+    p_nuc.set_defaults(run=cmd_nucleolus)
 
     p_cc = sub.add_parser("core-check", help="core membership of an allocation")
     p_cc.add_argument("graph")
     p_cc.add_argument("allocation")
     p_cc.add_argument("--output", default=None)
+    p_cc.set_defaults(run=cmd_core_check)
 
     p_or = sub.add_parser("oracle", help="brute-force reference computations")
     p_or.add_argument(
@@ -240,34 +221,20 @@ def _parser() -> argparse.ArgumentParser:
     p_or.add_argument("graph")
     p_or.add_argument("--cap", type=int, default=None)
     p_or.add_argument("--output", default=None)
+    p_or.set_defaults(run=cmd_oracle)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "af":
-            doc = cmd_af(args.graph)
-        elif args.command == "prime-partition":
-            doc = cmd_prime_partition(args.graph)
-        elif args.command == "nucleolus":
-            doc = cmd_nucleolus(args.graph, variant=args.variant)
-        elif args.command == "core-check":
-            doc = cmd_core_check(args.graph, args.allocation)
-        else:
-            doc = cmd_oracle(args.graph, args.subcommand, args.cap)
-    except _CliError as exc:
+        g = parse_graph_file(args.graph)
+        if not g.is_connected():
+            raise DisconnectedGraphError("graph is not connected")
+        doc = args.run(g, args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except GraphInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DisconnectedGraphError, EmptyCoreError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return next(code for t, code in EXIT_CODES.items() if isinstance(exc, t))
     _emit(doc, args.output)
     return 0
 

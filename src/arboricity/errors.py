@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-The CLI maps these onto its exit-code contract: input problems exit with 2,
-structural/precondition problems with 3, resource caps with 4.
+``EXIT_CODES`` in ``cli.py`` is the one table that maps these onto exit
+codes.  ``InternalInvariantError`` has no code: it marks a bug, and the CLI
+lets it escape with its traceback.
 """
 
 

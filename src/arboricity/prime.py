@@ -125,13 +125,15 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
 
 def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     """``ancestors`` without its input checks, for a partition built from g."""
-    sets = pp.prime_sets
+    # every ancestor has a lower level, so in this order it comes first
+    sets = sorted(pp.prime_sets, key=lambda ps: ps.level)
     max_level = max((ps.level for ps in sets), default=0)
     by_level: dict[int, list[PrimeSet]] = {}
     for ps in sets:
         by_level.setdefault(ps.level, []).append(ps)
+    pairs = {ps.id: [g.endpoints(eid) for eid in ps.edges] for ps in sets}
 
-    ancestor_sets: dict[int, set[int]] = {ps.id: set() for ps in sets}
+    direct: dict[int, set[int]] = {ps.id: set() for ps in sets}
     for q in sets:
         if q.level >= max_level:
             continue
@@ -139,33 +141,26 @@ def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
         for level in range(max_level + 1):
             if level > q.level:
                 for p in by_level.get(level, ()):  # test before contracting level
-                    images = set()
-                    for eid in p.edges:
-                        a, b = g.endpoints(eid)
-                        images.add(uf.find(a))
-                        images.add(uf.find(b))
+                    images = {uf.find(v) for pair in pairs[p.id] for v in pair}
                     if len(images) != p.n_p:
-                        ancestor_sets[p.id].add(q.id)
+                        direct[p.id].add(q.id)
             for p in by_level.get(level, ()):
                 if p.id == q.id:
                     continue
-                for eid in p.edges:
-                    a, b = g.endpoints(eid)
+                for a, b in pairs[p.id]:
                     uf.union(a, b)
 
     # The pairwise test yields the direct dependences; a prime set can also
     # depend on the ancestors of its ancestors even when the direct test
     # misses them, so the ancestor relation proper is the transitive closure.
-    direct = AncestorPoset({pid: frozenset(a) for pid, a in ancestor_sets.items()})
-    closed = {ps.id: direct.ancestors_of(ps.id) for ps in sets}
-
+    # Every parent is a direct ancestor, and a direct ancestor that lies
+    # below another one is not a parent.
+    closed: dict[int, frozenset[int]] = {}
     parents: dict[int, frozenset[int]] = {}
     for ps in sets:
-        anc = closed[ps.id]
-        parents[ps.id] = frozenset(
-            a for a in anc
-            if not any(a in closed[b] for b in anc if b != a)
-        )
+        below = frozenset().union(*(closed[d] for d in direct[ps.id]))
+        closed[ps.id] = below | direct[ps.id]
+        parents[ps.id] = frozenset(direct[ps.id] - below)
     poset = AncestorPoset(parents)
     # the parent lists must regenerate exactly the closed relation
     for ps in sets:

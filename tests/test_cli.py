@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from arboricity import fractional_arboricity, kernels, prime_partition
+from arboricity import (
+    InternalInvariantError,
+    cli,
+    fractional_arboricity,
+    kernels,
+    prime_partition,
+)
 from arboricity.cli import main
 
 from conftest import edge_list_text, four_k4_chain, two_k4_bridge
@@ -89,6 +95,17 @@ def test_disconnected(tmp_path, capsys):
     code, _, err = run(capsys, "af", write(tmp_path, "d.txt", "0 1\n2 3\n"))
     assert code == 3
     assert "connected" in err
+
+
+def test_bugs_escape_main(tmp_path, monkeypatch):
+    # only the library's input, precondition and resource errors become
+    # exit codes; an internal invariant failure keeps its traceback
+    def broken(g, variant):
+        raise InternalInvariantError("broken on purpose")
+
+    monkeypatch.setattr(cli, "solve_nucleolus", broken)
+    with pytest.raises(InternalInvariantError, match="broken on purpose"):
+        main(["nucleolus", write(tmp_path, "k4.txt", K4)])
 
 
 def test_prime_partition_two_k4_bridge(tmp_path, capsys):

@@ -7,6 +7,7 @@ from arboricity import (
     DisconnectedGraphError,
     GraphInputError,
     Multigraph,
+    PrimePartition,
     ancestors,
     decompose_densest_subgraph,
     fractional_arboricity,
@@ -17,6 +18,7 @@ from arboricity.oracle import enumerate_densest_subgraphs
 from conftest import (
     four_k4_chain,
     k4,
+    k4_edges,
     path,
     random_connected,
     triangle_pendant,
@@ -100,6 +102,60 @@ def test_ancestors_four_k4_chain():
     assert poset.parents[6] == frozenset({4, 5})
     # ancestors of the top set include everything below it
     assert poset.ancestors_of(6) == frozenset(range(6))
+
+
+def k4_tower(levels: int) -> Multigraph:
+    """K4 on 0..3, then vertices 4, 5, ... each joined to the previous vertex
+    and to 0: af = 2, and each added vertex is a prime set one level up."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for v in range(4, levels + 3):
+        edges += [(v - 1, v), (0, v)]
+    return Multigraph.from_edge_list(edges)
+
+
+def test_ancestors_deep_chain():
+    g = k4_tower(120)
+    pp = prime_partition(g)
+    assert [ps.level for ps in pp.prime_sets] == list(range(120))
+    poset = ancestors(g, pp)
+    assert poset.parents == {
+        i: frozenset({i - 1}) if i else frozenset() for i in range(120)
+    }
+
+
+@pytest.mark.parametrize("make", [two_k4_bridge, four_k4_chain, lambda: k4_tower(8)])
+def test_ancestors_ignore_prime_set_order(make):
+    g = make()
+    pp = prime_partition(g)
+    shuffled = PrimePartition(tuple(reversed(pp.prime_sets)), pp.non_prime, pp.af)
+    assert ancestors(g, shuffled).parents == ancestors(g, pp).parents
+
+
+def k4_pairs(rng) -> Multigraph:
+    """2 to 6 K4s, merged pairwise by random 2-edge bundles until connected:
+    af = 2, and each bundle is a prime set above the two it joins."""
+    blocks = [list(range(4 * i, 4 * i + 4)) for i in range(rng.randint(2, 6))]
+    edges = [e for i in range(len(blocks)) for e in k4_edges(4 * i)]
+    while len(blocks) > 1:
+        a, b = rng.sample(range(len(blocks)), 2)
+        edges += [(rng.choice(blocks[a]), rng.choice(blocks[b])) for _ in range(2)]
+        blocks[a] += blocks[b]
+        del blocks[b]
+    return Multigraph.from_edge_list(edges)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_parents_are_incomparable_ancestors(seed):
+    import random
+
+    rng = random.Random(seed)
+    for g in (random_connected(rng, n_max=9, m_max=16), k4_pairs(rng)):
+        poset = ancestors(g, prime_partition(g))
+        for pid, parents in poset.parents.items():
+            assert parents <= poset.ancestors_of(pid)
+            for a in parents:
+                assert not parents & poset.ancestors_of(a)
 
 
 def test_ancestors_mismatched_partition():
