@@ -1,15 +1,15 @@
 """Command-line interface.
 
-Graphs are read from text files with one edge per line ("u v", nonnegative
-integer vertex labels; repeated lines create parallel edges; blank lines and
-lines starting with '#' are ignored).  EdgeIds are assigned in line order
-starting at 0, and all output refers to edges by that index.
+Graphs are read from UTF-8 text files with one edge per line ("u v",
+nonnegative integer vertex labels; repeated lines create parallel edges;
+blank lines and lines starting with '#' are ignored).  EdgeIds are assigned
+in line order starting at 0, and all output refers to edges by that index.
 
 Results are emitted as JSON with stable key order; every rational is a
 string "p/q" in lowest terms (integers appear without a denominator).
 
 Exit codes: 0 success; otherwise the code that ``EXIT_CODES`` gives the
-library error raised (2 parse/input error, 3 precondition failure:
+library error raised (2 parse/input error or unusable file, 3 precondition:
 disconnected graph or empty core, 4 resource cap exceeded).  Any other
 exception is a bug and escapes ``main`` with its traceback.
 """
@@ -43,13 +43,16 @@ EXIT_CODES: dict[type[Exception], int] = {
 }
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphInputError(f"cannot read {path}: {exc}") from exc
+
+
 def parse_graph_file(path: str) -> Multigraph:
     pairs: list[tuple[int, int]] = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise GraphInputError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -75,12 +78,8 @@ def parse_graph_file(path: str) -> Multigraph:
 
 
 def parse_allocation_file(path: str, num_edges: int) -> dict[int, Fraction]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise GraphInputError(f"cannot read {path}: {exc}") from exc
     values: list[Fraction] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -161,7 +160,7 @@ def cmd_oracle(g: Multigraph, args: argparse.Namespace) -> dict:
         subs = oracle.enumerate_densest_subgraphs(g, **kwargs)
         return {"densest": [sorted(s) for s in subs]}
     # "nucleolus": argparse's choices admit no other subcommand
-    alloc =oracle.maschler_nucleolus(g, **kwargs)
+    alloc = oracle.maschler_nucleolus(g, **kwargs)
     return {
         "core_nonempty": True,
         "allocation": [_rat(alloc[e]) for e in sorted(g.edge_ids)],
@@ -174,7 +173,10 @@ def _emit(doc: dict, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise GraphInputError(f"cannot write {output}: {exc}") from exc
 
 
 @functools.cache
@@ -231,11 +233,10 @@ def main(argv: list[str] | None = None) -> int:
         g = parse_graph_file(args.graph)
         if not g.is_connected():
             raise DisconnectedGraphError("graph is not connected")
-        doc = args.run(g, args)
+        _emit(args.run(g, args), args.output)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for t, code in EXIT_CODES.items() if isinstance(exc, t))
-    _emit(doc, args.output)
     return 0
 
 

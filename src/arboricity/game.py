@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .density import fractional_arboricity
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
     GraphInputError,
     ResourceLimitError,
 )
-from .multigraph import EdgeId, Multigraph
+from .multigraph import EdgeId, Multigraph, VertexId
 
 Allocation = dict[EdgeId, Fraction]
 
@@ -77,16 +77,20 @@ def core_membership(g: Multigraph, x: Mapping[EdgeId, Fraction | int]) -> CoreCh
     return CoreCheckResult("member", None)
 
 
-def _connected_vertex_subsets(g: Multigraph) -> Iterable[frozenset[int]]:
-    """Connected induced vertex sets of size >= 2, ascending bitmask order."""
+def _connected_vertex_subsets(
+    g: Multigraph,
+) -> Iterator[tuple[frozenset[VertexId], Multigraph]]:
+    """Connected induced vertex sets of size >= 2, each with its induced
+    subgraph, in ascending bitmask order of the sorted vertices."""
     verts = sorted(g.vertices)
     n = len(verts)
     for mask in range(3, 1 << n):
         if mask & (mask - 1) == 0:  # singletons: skip
             continue
         subset = frozenset(verts[i] for i in range(n) if mask >> i & 1)
-        if g.induced_by_vertices(subset).is_connected():
-            yield subset
+        sub = g.induced_by_vertices(subset)
+        if sub.is_connected():
+            yield subset, sub
 
 
 def core_vertices(g: Multigraph, cap: int) -> list[Allocation]:
@@ -102,8 +106,7 @@ def core_vertices(g: Multigraph, cap: int) -> list[Allocation]:
             f"core empty: af={status.af}, a={status.arboricity}"
         )
     out: list[Allocation] = []
-    for subset in _connected_vertex_subsets(g):
-        sub = g.induced_by_vertices(subset)
+    for subset, sub in _connected_vertex_subsets(g):
         if Fraction(sub.num_edges(), sub.num_vertices() - 1) != status.af:
             continue
         if len(out) >= cap:

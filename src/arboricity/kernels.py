@@ -1,4 +1,5 @@
-"""Density kernel in pure Python: the hot inner loop of the package.
+"""The flow kernel: integer max-flow questions on a compact multigraph, the
+hot inner loop of the package, in pure Python.
 
 Every exact decision is an integer max flow on one network: the source
 feeds each live edge q units, an edge passes them to its two endpoints, and
@@ -34,14 +35,24 @@ w reaches the sink.  A minimal densest set is found at its first root: no
 earlier root lies in it, and every vertex of it has degree >= af inside it,
 so the peel (strict here, since a 2-vertex set of af parallel edges has
 degree exactly af) keeps it.
+
+``active()`` returns this module and ``NAME`` names it, so code that
+inspects the kernel (its ``NAME``, its ``_trial``, called once per flow)
+looks it up at call time.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
+from types import ModuleType
 from typing import Callable, Iterator, Sequence
 
 NAME = "pure"
+
+
+def active() -> ModuleType:
+    return sys.modules[__name__]
 
 
 def _dinic(

@@ -18,7 +18,6 @@ are omitted from the LPs; they cannot change the feasible set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -28,7 +27,7 @@ from .errors import (
     InternalInvariantError,
     ResourceLimitError,
 )
-from .game import Allocation
+from .game import Allocation, _connected_vertex_subsets
 from .multigraph import EdgeId, Multigraph, VertexId, _UnionFind
 from .simplex import EQ, LE, make_lp, simplex_solve
 
@@ -44,6 +43,13 @@ DEFAULT_GAME_CAP = 10
 
 def _edge_order(g: Multigraph) -> list[EdgeId]:
     return sorted(g.edge_ids)
+
+
+def _edge_ends(g: Multigraph) -> tuple[list[EdgeId], list[tuple[int, int]]]:
+    """Edges in id order and their endpoints as indices of sorted vertices."""
+    order = _edge_order(g)
+    vindex = {v: i for i, v in enumerate(sorted(g.vertices))}
+    return order, [(vindex[u], vindex[v]) for u, v in map(g.endpoints, order)]
 
 
 def _subset_density(
@@ -76,12 +82,7 @@ def brute_fractional_arboricity(
         raise GraphInputError("graph has no edges")
     if m > edge_cap:
         raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
-    order = _edge_order(g)
-    vorder = sorted(g.vertices)
-    vindex = {v: i for i, v in enumerate(vorder)}
-    ends = [
-        (vindex[g.endpoints(e)[0]], vindex[g.endpoints(e)[1]]) for e in order
-    ]
+    order, ends = _edge_ends(g)
     best: Fraction | None = None
     best_mask = 0
     for mask in range(1, 1 << m):
@@ -103,19 +104,11 @@ def enumerate_densest_subgraphs(
 ) -> list[frozenset[VertexId]]:
     """All connected induced subgraphs attaining the maximum density."""
     af, _ = brute_fractional_arboricity(g, edge_cap)
-    verts = sorted(g.vertices)
-    n = len(verts)
-    out: list[frozenset[VertexId]] = []
-    for mask in range(1, 1 << n):
-        if mask & (mask - 1) == 0:
-            continue
-        subset = frozenset(verts[i] for i in range(n) if mask >> i & 1)
-        sub = g.induced_by_vertices(subset)
-        if not sub.is_connected():
-            continue
-        if Fraction(sub.num_edges(), len(subset) - 1) == af:
-            out.append(subset)
-    return out
+    return [
+        subset
+        for subset, sub in _connected_vertex_subsets(g)
+        if Fraction(sub.num_edges(), len(subset) - 1) == af
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +124,7 @@ def gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> list[int]:
     m = g.num_edges()
     if m > edge_cap:
         raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
-    order = _edge_order(g)
-    vorder = sorted(g.vertices)
-    vindex = {v: i for i, v in enumerate(vorder)}
-    ends = [
-        (vindex[g.endpoints(e)[0]], vindex[g.endpoints(e)[1]]) for e in order
-    ]
+    _, ends = _edge_ends(g)
     best: list[Fraction] = [ZERO] * (1 << m)
     table = [0] * (1 << m)
     for mask in range(1, 1 << m):
@@ -232,17 +220,6 @@ def _prune_within(masks: list[int], table: list[int], full: int) -> list[int]:
         if not implied:
             kept.append(s)
     return kept
-
-
-@dataclass(frozen=True)
-class MaschlerState:
-    """Snapshot of one scheme round: its optimal epsilon and the coalitions
-    still unfixed afterwards.  Epsilons never decrease and the unfixed set
-    strictly shrinks from round to round."""
-
-    round: int
-    epsilon: Fraction
-    unfixed: int
 
 
 def _indicator(mask: int, m: int) -> tuple[int, ...]:
@@ -377,14 +354,14 @@ def maschler_nucleolus(
     face = _Face(m, table[full])
     active = list(range(1, full))
     pruned = _prune_round_one(table, m)
-    history: list[MaschlerState] = []
+    epsilons: list[Fraction] = []  # one per round; they never decrease
     while True:
-        if len(history) > m + 2:
+        if len(epsilons) > m + 2:
             raise InternalInvariantError("scheme failed to terminate")
         eps, _ = face.epsilon_lp(pruned, table)
-        if not history and eps < 0:
+        if not epsilons and eps < 0:
             raise EmptyCoreError(f"core empty: least core epsilon = {eps}")
-        if history and eps < history[-1].epsilon:
+        if epsilons and eps < epsilons[-1]:
             raise InternalInvariantError("epsilon decreased between rounds")
         for mask in pruned:
             face.add_coalition_bound(mask, Fraction(table[mask]) - eps)
@@ -397,6 +374,6 @@ def maschler_nucleolus(
                 still.append(mask)
         if len(still) == len(active):
             raise InternalInvariantError("no coalition became fixed")
-        history.append(MaschlerState(len(history) + 1, eps, len(still)))
+        epsilons.append(eps)
         active = still
         pruned = _prune_within(active, table, full)

@@ -74,23 +74,22 @@ def prime_partition(g: Multigraph) -> PrimePartition:
 
     af = fractional_arboricity(g).value
     collected: list[tuple[frozenset[EdgeId], int, int]] = []  # (edges, level, n_p)
-    contracted: set[EdgeId] = set()
     level = 0
     current = g
-    non_prime: frozenset[EdgeId] = frozenset()
-    while True:
+    while current.num_edges():
         found = _enumerate_mds(current, af)
         if not found:
-            non_prime = current.edge_ids
             break
+        level_edges: set[EdgeId] = set()
         for mds in found:
             edges = current.induced_by_vertices(mds).edge_ids
             collected.append((edges, level, len(mds)))
-            contracted |= edges
-        current = g.contract(contracted).as_multigraph()
-        if current.num_edges() == 0:
-            break
+            level_edges |= edges
+        # contracting the last minor gives the same graph as contracting g
+        # by every set so far: images are minimum original ids either way
+        current = current.contract(level_edges).as_multigraph()
         level += 1
+    non_prime = current.edge_ids
 
     order = sorted(collected, key=lambda item: (item[1], min(item[0])))
     prime_sets = tuple(

@@ -65,6 +65,18 @@ def four_k4_chain() -> Multigraph:
     return Multigraph.from_edge_list(edges)
 
 
+def k4_tower(levels: int) -> Multigraph:
+    """K4 on 0..3, then vertices 4, 5, ... each joined to the previous vertex
+    and to 0: af = 2, and each added vertex is a prime set one level up.
+
+    Edges 0-5 are the K4 (level 0); the vertex added at level i >= 1 brings
+    edges 4 + 2i and 5 + 2i."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for v in range(4, levels + 3):
+        edges += [(v - 1, v), (0, v)]
+    return Multigraph.from_edge_list(edges)
+
+
 def random_connected(
     rng: random.Random,
     n_max: int = 8,

@@ -260,6 +260,13 @@ def test_output_file_and_lowest_terms(tmp_path, capsys):
         assert s == str(f)  # lowest terms, canonical rendering
 
 
+def test_output_to_a_directory_is_an_input_error(tmp_path, capsys):
+    g = write(tmp_path, "t.txt", TRIANGLE)
+    code, out, err = run(capsys, "af", g, "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 @pytest.mark.parametrize("make", [two_k4_bridge, four_k4_chain])
 def test_cli_runs_the_pipeline_once(tmp_path, capsys, monkeypatch, make):
     # prime-partition costs what prime_partition costs; nucleolus adds only

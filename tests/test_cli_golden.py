@@ -4,7 +4,9 @@
 that ``arboricity`` printed for it; any change to the computed values, the
 JSON layout or the error text shows up here.  Error messages name the input
 file, so the test's temporary directory is replaced by ``<tmp>`` in both
-streams.
+streams; ``<tmp>`` in a case's argv stands for that directory.  Graphs and
+allocations given as ``bytes`` are written as they are, so a case can hold
+a file that is not UTF-8.
 """
 
 import json
@@ -33,9 +35,10 @@ GRAPHS = {
     "negative": "0 1\n-1 2\n",
     "comments_only": "# no edges\n\n",
     "missing": None,  # the file is never written
+    "not_utf8": b"0 1\n\xff 2\n",
 }
 
-# case name -> (argv before the graph, graph, allocation file text or None)
+# case name -> (argv before the graph, graph, allocation file content or None)
 CASES = {
     "af-triangle": (["af"], "triangle", None),
     "af-two_k4_bridge": (["af"], "two_k4_bridge", None),
@@ -73,22 +76,32 @@ CASES = {
     "core-check-wrong-count-k4": (["core-check"], "k4", "1/3\n" * 5),
     "core-check-not-rational-k4": (["core-check"], "k4", "1/3\n" * 5 + "x\n"),
     "oracle-af-cap-k4": (["oracle", "af", "--cap", "3"], "k4", None),
+    "af-output-unwritable": (["af", "--output", "<tmp>/none/out.json"], "triangle", None),
+    "af-not_utf8": (["af"], "not_utf8", None),
+    "core-check-not-utf8-k4": (["core-check"], "k4", b"1/3\n\xff\n"),
 }
+
+
+def write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
 
 
 def run_case(tmp_path, capsys, name):
     head, graph, allocation = CASES[name]
+    tmp = str(tmp_path)
     graph_file = tmp_path / f"{graph}.txt"
     if GRAPHS[graph] is not None:
-        graph_file.write_text(GRAPHS[graph])
-    argv = [*head, str(graph_file)]
+        write(graph_file, GRAPHS[graph])
+    argv = [arg.replace("<tmp>", tmp) for arg in head] + [str(graph_file)]
     if allocation is not None:
         alloc_file = tmp_path / "alloc.txt"
-        alloc_file.write_text(allocation)
+        write(alloc_file, allocation)
         argv.append(str(alloc_file))
     code = main(argv)
     out, err = capsys.readouterr()
-    tmp = str(tmp_path)
     return {
         "code": code,
         "stdout": out.replace(tmp, "<tmp>"),

@@ -4,6 +4,8 @@ augmenting paths, and the benchmark's hooks."""
 import importlib.util
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from arboricity import exceeds_density, fractional_arboricity, kernels, prime_partition
 from arboricity.cli import main as cli_main
 from arboricity.density import _compact
-from arboricity.kernels import pure
 from arboricity.oracle import brute_fractional_arboricity
 
 from conftest import k4, random_connected, two_k4_bridge
@@ -98,13 +99,13 @@ def _cold_trial(n, us, vs, alive, p, q, root):
         arc(e, node[vs[i]], q)
     for v in verts:
         arc(node[v], sink, 0 if v == root else p)
-    flow = pure._dinic(sink + 1, adj, arc_to, cap, 0, sink)
-    into_sink = pure._reach(adj, arc_to, cap, sink, False)
+    flow = kernels._dinic(sink + 1, adj, arc_to, cap, 0, sink)
+    into_sink = kernels._reach(adj, arc_to, cap, sink, False)
 
     def side(v):
         if v >= 0 and node[v] in into_sink:
             return None
-        seen = pure._reach(adj, arc_to, cap, node[v] if v >= 0 else 0, True)
+        seen = kernels._reach(adj, arc_to, cap, node[v] if v >= 0 else 0, True)
         return sorted(verts[x - 1] for x in seen if 0 < x <= len(verts))
 
     return flow, side
@@ -114,7 +115,7 @@ def test_carried_flow_matches_a_cold_flow(monkeypatch):
     # every trial of a walk re-augments the flow left by the previous root;
     # its value and its min-cut sides must be those of a fresh network
     roots = {}
-    free, trial = pure._Walk.free, pure._trial
+    free, trial = kernels._Walk.free, kernels._trial
 
     def recording_free(walk, r):
         roots[walk] = r
@@ -139,8 +140,8 @@ def test_carried_flow_matches_a_cold_flow(monkeypatch):
 
     graphs = [random_connected(random.Random(seed), n_max=10, m_max=24) for seed in range(300)]
     afs = [fractional_arboricity(g).value for g in graphs]
-    monkeypatch.setattr(pure._Walk, "free", recording_free)
-    monkeypatch.setattr(pure, "_trial", checked)
+    monkeypatch.setattr(kernels._Walk, "free", recording_free)
+    monkeypatch.setattr(kernels, "_trial", checked)
     for g, af in zip(graphs, afs):
         _, us, vs = _compact(g)
         n = g.num_vertices()
@@ -158,13 +159,13 @@ def test_tracer_counts_the_kernel(monkeypatch):
     # kernels.active()._trial and density._enumerate_mds; a missing hook
     # would read zero, and a flow outside _trial would go uncounted
     flows = []
-    dinic = pure._dinic
+    dinic = kernels._dinic
 
     def counted(*args):
         flows.append(1)
         return dinic(*args)
 
-    monkeypatch.setattr(pure, "_dinic", counted)
+    monkeypatch.setattr(kernels, "_dinic", counted)
     path = Path(__file__).resolve().parents[1] / "pipeline_bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("pipeline_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -181,3 +182,21 @@ def test_tracer_counts_the_kernel(monkeypatch):
     assert metrics["kernels.sweep_calls"][0] > 0
     assert metrics["kernels.trials"][0] == len(flows) > 0
     assert metrics["density.mds_found"][0] == 3  # two K4s, then the bridge bundle
+
+
+def test_bench_command_runs_traced():
+    # one pass of the benchmark's own command: a renamed or removed hook
+    # (kernels.sweep, kernels.active()._trial, density._enumerate_mds,
+    # prime.prime_partition) fails the run or reads zero here
+    root = Path(__file__).resolve().parents[1]
+    argv = ["pipeline_bench/run.py", "--workload", "structured", "--seed", "0"]
+    proc = subprocess.run(
+        [sys.executable, *argv, "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    for name in ("kernels.trials", "kernels.sweep_calls", "density.mds_found", "prime.levels"):
+        assert metrics[name]["value"] > 0, name

@@ -19,6 +19,7 @@ from conftest import (
     four_k4_chain,
     k4,
     k4_edges,
+    k4_tower,
     path,
     random_connected,
     triangle_pendant,
@@ -102,15 +103,6 @@ def test_ancestors_four_k4_chain():
     assert poset.parents[6] == frozenset({4, 5})
     # ancestors of the top set include everything below it
     assert poset.ancestors_of(6) == frozenset(range(6))
-
-
-def k4_tower(levels: int) -> Multigraph:
-    """K4 on 0..3, then vertices 4, 5, ... each joined to the previous vertex
-    and to 0: af = 2, and each added vertex is a prime set one level up."""
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for v in range(4, levels + 3):
-        edges += [(v - 1, v), (0, v)]
-    return Multigraph.from_edge_list(edges)
 
 
 def test_ancestors_deep_chain():
