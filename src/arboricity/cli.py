@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Graphs are read from UTF-8 text files with one edge per line ("u v",
-nonnegative integer vertex labels; repeated lines create parallel edges;
-blank lines and lines starting with '#' are ignored).  EdgeIds are assigned
+Graphs are read from UTF-8 text files (a leading byte-order mark is
+accepted) with one edge per line ("u v", nonnegative integer vertex labels;
+repeated lines create parallel edges; blank lines and lines starting with
+'#' are ignored).  EdgeIds are assigned
 in line order starting at 0, and all output refers to edges by that index.
 
 Results are emitted as JSON with stable key order; every rational is a
@@ -45,7 +46,7 @@ EXIT_CODES: dict[type[Exception], int] = {
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphInputError(f"cannot read {path}: {exc}") from exc
 

@@ -31,9 +31,16 @@ At af the min cuts of a root's flow are exactly the cuts of the vertex sets
 {}, {r} and the densest sets containing r, and by Picard & Queyranne (1980)
 these are the closed sets of the residual graph; so the smallest densest set
 containing r and a vertex w is what w reaches in the residual graph, unless
-w reaches the sink.  A minimal densest set is found at its first root: no
-earlier root lies in it, and every vertex of it has degree >= af inside it,
-so the peel (strict here, since a 2-vertex set of af parallel edges has
+w reaches the sink.  Each root takes one backward search from the sink and
+one pass of Tarjan's algorithm over the residual nodes that cannot reach
+it, and then one forward search per *bottom* SCC: one that holds a live
+vertex other than r, with no such vertex in any SCC it reaches.  No other
+search is needed: reach(w) contains reach(w') exactly when w' lies in
+reach(w), and from any w the SCCs it reaches include a bottom one, so every
+skipped set contains a searched one and the closing minimality filter
+returns the same list.  A minimal densest set is found at its first root:
+no earlier root lies in it, and every vertex of it has degree >= af inside
+it, so the peel (strict here, since a 2-vertex set of af parallel edges has
 degree exactly af) keeps it.
 
 ``active()`` returns this module and ``NAME`` names it, so code that
@@ -63,7 +70,12 @@ def _dinic(
     source: int,
     sink: int,
 ) -> int:
-    """Max flow; ``arc_cap`` holds residual capacities and is mutated."""
+    """Max flow; ``arc_cap`` holds residual capacities and is mutated.
+
+    Each phase's breadth-first search stops once the sink has its level: every
+    node one layer before the sink is labelled by then, so the phase's
+    shortest augmenting paths, and the blocking flow along them, are those of
+    the whole level graph."""
     flow = 0
     level = [0] * num_nodes
     it = [0] * num_nodes
@@ -73,7 +85,7 @@ def _dinic(
             level[i] = -1
         level[source] = 0
         queue = deque([source])
-        while queue:
+        while queue and level[sink] < 0:
             u = queue.popleft()
             for a in adj[u]:
                 if arc_cap[a] > 0 and level[arc_to[a]] < 0:
@@ -165,6 +177,7 @@ class _Walk:
             self._arc(v, self.sink, p)
         self.sink_arc = 6 * m  # vertex v's is sink_arc + 2v
         self.flow = 0
+        self.into_sink: set[int] | None = None  # of the last trial, once built
         self.live = m  # edges with both endpoints alive
         self.alive = [True] * n
         self.queue = deque(v for v in range(n) if not keep(self.deg[v]))
@@ -176,6 +189,13 @@ class _Walk:
         self.adj[b].append(len(self.arc_to))
         self.arc_to.append(a)
         self.cap.append(0)
+
+    def reaching_sink(self) -> set[int]:
+        """The nodes that reach the sink in the residual graph of the last
+        trial, from one backward search built on the first call after it."""
+        if self.into_sink is None:
+            self.into_sink = _reach(self.adj, self.arc_to, self.cap, self.sink, False)
+        return self.into_sink
 
     def free(self, r: int) -> None:
         """Close r's sink arc, first draining its flow back to the source."""
@@ -250,19 +270,78 @@ def _trial(walk: _Walk) -> tuple[bool, Callable[[int], list[int] | None]]:
     """
     adj, arc_to, cap, n = walk.adj, walk.arc_to, walk.cap, walk.n
     walk.flow += _dinic(walk.num_nodes, adj, arc_to, cap, walk.source, walk.sink)
-    into_sink: set[int] | None = None  # built on the first call that needs it
+    walk.into_sink = None
 
     def side(v: int) -> list[int] | None:
-        nonlocal into_sink
-        if v >= 0:
-            if into_sink is None:
-                into_sink = _reach(adj, arc_to, cap, walk.sink, False)
-            if v in into_sink:
-                return None
+        if v >= 0 and v in walk.reaching_sink():
+            return None
         seen = _reach(adj, arc_to, cap, v if v >= 0 else walk.source, True)
         return sorted(x for x in seen if x < n)
 
     return walk.flow < walk.q * walk.live, side
+
+
+def _bottoms(walk: _Walk, r: int) -> list[int]:
+    """One live vertex other than r from each bottom SCC of the last trial's
+    residual graph: an SCC that holds such a vertex, with none in any SCC it
+    reaches.  Searches the nodes that those vertices reach and that do not
+    reach the sink, in one iterative pass of Tarjan's algorithm."""
+    adj, arc_to, cap, alive = walk.adj, walk.arc_to, walk.cap, walk.alive
+    into_sink = walk.reaching_sink()
+    index = [-1] * walk.num_nodes  # order of discovery
+    low = [0] * walk.num_nodes
+    done = [False] * walk.num_nodes  # its SCC has been emitted
+    # emitted: the SCC reaches a live vertex other than r; on the stack: the
+    # node has an arc into an emitted SCC that does
+    hit = [False] * walk.num_nodes
+    stack: list[int] = []
+    bottoms: list[int] = []
+    count = 0
+    for w in range(walk.n):
+        if w == r or not alive[w] or index[w] >= 0 or w in into_sink:
+            continue
+        # no residual arc enters into_sink from outside it, so the search
+        # below never enters it
+        index[w] = low[w] = count
+        count += 1
+        stack.append(w)
+        calls = [(w, iter(adj[w]))]
+        while calls:
+            u, arcs = calls[-1]
+            for a in arcs:
+                if cap[a] > 0:
+                    v = arc_to[a]
+                    if index[v] < 0:
+                        index[v] = low[v] = count
+                        count += 1
+                        stack.append(v)
+                        calls.append((v, iter(adj[v])))
+                        break
+                    if done[v]:
+                        hit[u] = hit[u] or hit[v]
+                    elif index[v] < low[u]:
+                        low[u] = index[v]
+            else:
+                calls.pop()
+                if low[u] == index[u]:  # u roots an SCC; all it reaches is emitted
+                    k = len(stack) - 1
+                    while stack[k] != u:
+                        k -= 1
+                    members = stack[k:]
+                    del stack[k:]
+                    below = any(hit[x] for x in members)
+                    mine = [x for x in members if x < walk.n and x != r]
+                    if mine and not below:
+                        bottoms.append(mine[0])
+                    for x in members:
+                        done[x] = True
+                        hit[x] = below or bool(mine)
+                if calls:
+                    t = calls[-1][0]
+                    hit[t] = hit[t] or hit[u]
+                    if not done[u] and low[u] < low[t]:
+                        low[t] = low[u]
+    return bottoms
 
 
 def sweep(
@@ -284,16 +363,12 @@ def minimal_densest(
     their sorted vertex lists; None when some set is denser than p/q."""
     found: set[frozenset[int]] = set()
     walk = _Walk(n, us, vs, p, q, lambda d: q * d >= p)
-    alive = walk.alive
     for r in walk.roots(0):
         short, side = _trial(walk)
         if short:
             return None
-        for w in range(n):
-            if alive[w] and w != r:
-                dense = side(w)
-                if dense is not None:
-                    found.add(frozenset(dense))
+        for w in _bottoms(walk, r):
+            found.add(frozenset(side(w)))
     minimal: list[frozenset[int]] = []
     for dense in sorted(found, key=len):
         if not any(m <= dense for m in minimal):

@@ -86,6 +86,14 @@ def test_parse_errors(tmp_path, capsys):
         assert "error:" in err
 
 
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + TRIANGLE.encode())
+    code, out, _ = run(capsys, "af", str(bom))
+    assert code == 0
+    assert out == run(capsys, "af", write(tmp_path, "plain.txt", TRIANGLE))[1]
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "af", "/nonexistent/graph.txt")
     assert code == 2

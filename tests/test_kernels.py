@@ -12,7 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arboricity import exceeds_density, fractional_arboricity, kernels, prime_partition
+from arboricity import (
+    Multigraph,
+    exceeds_density,
+    fractional_arboricity,
+    kernels,
+    prime_partition,
+)
 from arboricity.cli import main as cli_main
 from arboricity.density import _compact
 from arboricity.oracle import brute_fractional_arboricity
@@ -50,6 +56,99 @@ def test_long_augmenting_paths(tmp_path):
     out = tmp_path / "af.json"
     assert cli_main(["af", str(graph_file), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["af"] == f"{2 * n}/{n - 1}"
+
+
+def _assert_min_cut_certificate(num_nodes, adj, arc_to, cap, source, sink):
+    # after _dinic the source's residual reach excludes the sink, and the
+    # original capacity leaving that reach equals the flow: a max flow and a
+    # min cut of equal value
+    original = list(cap)
+    flow = kernels._dinic(num_nodes, adj, arc_to, cap, source, sink)
+    reach = kernels._reach(adj, arc_to, cap, source, True)
+    assert sink not in reach
+    leaving = sum(
+        original[a] for a in range(len(arc_to))
+        if arc_to[a ^ 1] in reach and arc_to[a] not in reach
+    )
+    assert leaving == flow
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dinic_returns_a_max_flow_on_random_networks(seed):
+    rng = random.Random(seed)
+    num_nodes = rng.randint(2, 40)
+    adj = [[] for _ in range(num_nodes)]
+    arc_to, cap = [], []
+    for _ in range(rng.randint(0, 4 * num_nodes)):
+        a, b = rng.sample(range(num_nodes), 2)
+        for x, y, c in ((a, b, rng.randint(0, 9)), (b, a, 0)):
+            adj[x].append(len(arc_to))
+            arc_to.append(y)
+            cap.append(c)
+    _assert_min_cut_certificate(num_nodes, adj, arc_to, cap, 0, num_nodes - 1)
+
+
+@pytest.mark.parametrize("p, q", [(800, 399), (799, 399), (1, 1), (3, 1)])
+def test_dinic_returns_a_max_flow_on_long_augmenting_paths(p, q):
+    # the network of test_long_augmenting_paths on a shorter doubled cycle,
+    # at its af = 2n/(n - 1), just below it, and far on either side
+    n = 400
+    us = list(range(n)) * 2
+    vs = [(i + 1) % n for i in range(n)] * 2
+    walk = kernels._Walk(n, us, vs, p, q, lambda d: True)
+    _assert_min_cut_certificate(
+        walk.num_nodes, walk.adj, walk.arc_to, walk.cap, walk.source, walk.sink
+    )
+
+
+def _per_vertex_minimal_densest(n, us, vs, p, q):
+    """``kernels.minimal_densest`` with one forward search per live vertex
+    other than the root, where the kernel searches once per bottom SCC."""
+    found = set()
+    walk = kernels._Walk(n, us, vs, p, q, lambda d: q * d >= p)
+    for r in walk.roots(0):
+        short, side = kernels._trial(walk)
+        if short:
+            return None
+        for w in range(n):
+            if walk.alive[w] and w != r:
+                dense = side(w)
+                if dense is not None:
+                    found.add(frozenset(dense))
+    minimal = []
+    for dense in sorted(found, key=len):
+        if not any(m <= dense for m in minimal):
+            minimal.append(dense)
+    return sorted(sorted(m) for m in minimal)
+
+
+def _random_multigraph(rng, n, m):
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    while len(edges) < m:
+        edges.append(tuple(rng.sample(range(n), 2)))
+    return Multigraph.from_edge_list(edges)
+
+
+def test_minimal_densest_matches_the_per_vertex_searches():
+    pairs = []
+    for seed in range(3000):
+        g = random_connected(random.Random(seed), n_max=9, m_max=16)
+        af = fractional_arboricity(g).value
+        lams = (af, af + Fraction(1, 7), Fraction(3, 2), Fraction(2))
+        pairs += [(g, lam) for lam in lams if lam >= af]
+    for seed in range(250):
+        rng = random.Random(seed)
+        m = rng.randint(20, 60)
+        g = _random_multigraph(rng, rng.randint(4, min(m + 1, 30)), m)
+        pairs.append((g, fractional_arboricity(g).value))
+    nonempty = 0
+    for g, lam in pairs:
+        _, us, vs = _compact(g)
+        n, p, q = g.num_vertices(), lam.numerator, lam.denominator
+        got = kernels.minimal_densest(n, us, vs, p, q)
+        assert got == _per_vertex_minimal_densest(n, us, vs, p, q)
+        nonempty += bool(got)
+    assert nonempty > len(pairs) // 3
 
 
 @pytest.mark.parametrize(

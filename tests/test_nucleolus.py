@@ -134,13 +134,12 @@ def test_nucleolus_two_k4_bridge():
 def test_k4_tower_closed_form():
     # a tower of L levels peels the top vertex's 2 edges at epsilon, each
     # level below at one epsilon more, and the K4 at L * epsilon; the total
-    # 6L + L(L - 1) epsilons is the arboricity 2.  120 levels keep Tier-1
-    # fast on today's kernel; with linear work per root in the flow kernel
-    # (ROADMAP, "Linear work per root") this should run at 300 or more.
-    levels = 120
+    # 6L + L(L - 1) epsilons is the arboricity 2.  300 levels make a deep
+    # contraction hierarchy: one minimal-densest enumeration per level.
+    levels = 300
     sol = solve_nucleolus(k4_tower(levels))
     eps = Fraction(2, levels * (levels + 5))
-    assert sol.epsilon == eps == Fraction(1, 7500)
+    assert sol.epsilon == eps == Fraction(1, 45750)
     expected = {e: levels * eps for e in range(6)}
     for i in range(1, levels):
         expected[4 + 2 * i] = expected[5 + 2 * i] = (levels - i) * eps
