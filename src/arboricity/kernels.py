@@ -75,26 +75,28 @@ def _dinic(
     Each phase's breadth-first search stops once the sink has its level: every
     node one layer before the sink is labelled by then, so the phase's
     shortest augmenting paths, and the blocking flow along them, are those of
-    the whole level graph."""
+    the whole level graph.  Each phase allocates its ``level`` and ``it``
+    arrays afresh, which costs O(n) at C speed instead of a Python loop, and
+    a node's scan of its arcs keeps its position and target level in locals
+    and stores ``it[u]`` once per scan."""
     flow = 0
-    level = [0] * num_nodes
-    it = [0] * num_nodes
 
     while True:
-        for i in range(num_nodes):
-            level[i] = -1
+        level = [-1] * num_nodes
         level[source] = 0
         queue = deque([source])
         while queue and level[sink] < 0:
             u = queue.popleft()
+            d = level[u] + 1
             for a in adj[u]:
-                if arc_cap[a] > 0 and level[arc_to[a]] < 0:
-                    level[arc_to[a]] = level[u] + 1
-                    queue.append(arc_to[a])
+                if arc_cap[a] > 0:
+                    v = arc_to[a]
+                    if level[v] < 0:
+                        level[v] = d
+                        queue.append(v)
         if level[sink] < 0:
             return flow
-        for i in range(num_nodes):
-            it[i] = 0
+        it = [0] * num_nodes
 
         # walk augmenting paths of the level graph with an explicit stack of
         # arcs: advance along the current arc of u, or retreat from a dead end
@@ -103,14 +105,17 @@ def _dinic(
             path: list[int] = []
             u = source
             while u != sink:
-                arcs = adj[u]
-                while it[u] < len(arcs):
-                    a = arcs[it[u]]
-                    if arc_cap[a] > 0 and level[arc_to[a]] == level[u] + 1:
-                        path.append(a)
-                        u = arc_to[a]
+                arcs, i, want = adj[u], it[u], level[u] + 1
+                end = len(arcs)
+                while i < end:
+                    a = arcs[i]
+                    if arc_cap[a] > 0 and level[arc_to[a]] == want:
                         break
-                    it[u] += 1
+                    i += 1
+                it[u] = i
+                if i < end:
+                    path.append(a)
+                    u = arc_to[a]
                 else:
                     if not path:
                         break

@@ -127,15 +127,16 @@ def nucleolus(g: Multigraph, variant: bool = False) -> Allocation:
 def solve_nucleolus(g: Multigraph, variant: bool = False) -> NucleolusSolution:
     """``nucleolus`` together with the core status and epsilon.
 
-    The core test comes first, so an empty core fails after one fractional
-    arboricity computation instead of after the whole prime partition.
+    The fractional arboricity is computed once, by the core test.  That test
+    comes first, so an empty core fails before any prime set is built; the
+    prime partition then takes the core test's af, which its level 0 proves.
     """
     status = core_nonempty(g)
     if not status.nonempty and not variant:
         raise EmptyCoreError(
             f"core empty: af={status.af}, a={status.arboricity}"
         )
-    pp = prime_partition(g)
+    pp = prime_partition(g, status.af)
     assignment = peel_assignment(pp, _ancestor_order(g, pp))
     alloc: Allocation = {e: Fraction(0) for e in g.edge_ids}
     for ps in pp.prime_sets:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .density import _enumerate_mds, fractional_arboricity
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
-from .multigraph import EdgeId, Multigraph, VertexId, _UnionFind
+from .multigraph import EdgeId, Multigraph, VertexId
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,29 @@ class AncestorPoset:
         return frozenset(seen)
 
 
-def prime_partition(g: Multigraph) -> PrimePartition:
-    """Prime sets by levels plus the non-prime set E0."""
+def prime_partition(g: Multigraph, af: Fraction | None = None) -> PrimePartition:
+    """Prime sets by levels plus the non-prime set E0.
+
+    ``af`` is the fractional arboricity of g when the caller already has it;
+    by default it is computed here.  Level 0 proves the value it is given: a
+    subgraph denser than ``af`` fails a kernel trial, and an ``af`` above the
+    true value leaves level 0 with no minimal densest set; both raise
+    ``InternalInvariantError``.
+    """
     if not g.is_connected():
         raise DisconnectedGraphError("graph must be connected")
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
 
-    af = fractional_arboricity(g).value
+    af = fractional_arboricity(g).value if af is None else Fraction(af)
     collected: list[tuple[frozenset[EdgeId], int, int]] = []  # (edges, level, n_p)
     level = 0
     current = g
     while current.num_edges():
         found = _enumerate_mds(current, af)
         if not found:
+            if not level:
+                raise InternalInvariantError("no subgraph attains the given af")
             break
         level_edges: set[EdgeId] = set()
         for mds in found:
@@ -123,31 +132,50 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
 
 
 def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
-    """``ancestors`` without its input checks, for a partition built from g."""
+    """``ancestors`` without its input checks, for a partition built from g.
+
+    One replay per prime set Q, on a list-based union-find over compact
+    vertex ids; the last level is tested but never contracted, since no
+    level above it is tested."""
     # every ancestor has a lower level, so in this order it comes first
     sets = sorted(pp.prime_sets, key=lambda ps: ps.level)
     max_level = max((ps.level for ps in sets), default=0)
     by_level: dict[int, list[PrimeSet]] = {}
     for ps in sets:
         by_level.setdefault(ps.level, []).append(ps)
-    pairs = {ps.id: [g.endpoints(eid) for eid in ps.edges] for ps in sets}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    # each set's endpoints, flattened: edge j joins ends[2j] and ends[2j + 1]
+    ends = {
+        ps.id: [index[v] for eid in ps.edges for v in g.endpoints(eid)]
+        for ps in sets
+    }
 
     direct: dict[int, set[int]] = {ps.id: set() for ps in sets}
     for q in sets:
         if q.level >= max_level:
             continue
-        uf = _UnionFind(g.vertices)
+        parent = list(range(len(index)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:  # path halving
+                parent[x] = x = parent[parent[x]]
+            return x
+
         for level in range(max_level + 1):
             if level > q.level:
                 for p in by_level.get(level, ()):  # test before contracting level
-                    images = {uf.find(v) for pair in pairs[p.id] for v in pair}
-                    if len(images) != p.n_p:
+                    if len({find(v) for v in ends[p.id]}) != p.n_p:
                         direct[p.id].add(q.id)
+            if level == max_level:
+                break
             for p in by_level.get(level, ()):
                 if p.id == q.id:
                     continue
-                for a, b in pairs[p.id]:
-                    uf.union(a, b)
+                e = ends[p.id]
+                for i in range(0, len(e), 2):
+                    a, b = find(e[i]), find(e[i + 1])
+                    if a != b:
+                        parent[a] = b
 
     # The pairwise test yields the direct dependences; a prime set can also
     # depend on the ancestors of its ancestors even when the direct test

@@ -8,13 +8,12 @@ import pytest
 from arboricity import (
     InternalInvariantError,
     cli,
-    fractional_arboricity,
     kernels,
     prime_partition,
 )
 from arboricity.cli import main
 
-from conftest import edge_list_text, four_k4_chain, two_k4_bridge
+from conftest import edge_list_text, four_k4_chain, k4_tower, two_k4_bridge
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -275,27 +274,36 @@ def test_output_to_a_directory_is_an_input_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
-@pytest.mark.parametrize("make", [two_k4_bridge, four_k4_chain])
+@pytest.mark.parametrize(
+    "make",
+    [two_k4_bridge, four_k4_chain, pytest.param(lambda: k4_tower(30), id="k4_tower30")],
+)
 def test_cli_runs_the_pipeline_once(tmp_path, capsys, monkeypatch, make):
-    # prime-partition costs what prime_partition costs; nucleolus adds only
-    # the af of its empty-core precondition
+    # prime-partition costs what prime_partition costs, and nucleolus costs
+    # the same: its core test's af is the only one, and prime_partition
+    # takes it instead of proving it again
     g = make()
     path = write(tmp_path, "g.txt", edge_list_text(g))
-    real = kernels.sweep
-    calls = []
+    calls = {"sweep": 0, "_trial": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(kernels, name)
 
-    monkeypatch.setattr(kernels, "sweep", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
 
-    def sweeps(fn, *args):
-        calls.clear()
+        monkeypatch.setattr(kernels, name, wrapper)
+
+    counting("sweep")
+    counting("_trial")
+
+    def cost(fn, *args):
+        calls.update(sweep=0, _trial=0)
         fn(*args)
-        return len(calls)
+        return dict(calls)
 
-    assert sweeps(main, ["prime-partition", path]) == sweeps(prime_partition, g)
-    assert sweeps(main, ["nucleolus", path]) == (
-        sweeps(fractional_arboricity, g) + sweeps(prime_partition, g)
-    )
+    partition = cost(main, ["prime-partition", path])
+    assert partition["sweep"] > 0
+    assert partition == cost(prime_partition, g)
+    assert cost(main, ["nucleolus", path]) == partition

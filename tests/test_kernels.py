@@ -299,3 +299,5 @@ def test_bench_command_runs_traced():
     metrics = result["metrics"]
     for name in ("kernels.trials", "kernels.sweep_calls", "density.mds_found", "prime.levels"):
         assert metrics[name]["value"] > 0, name
+    # a nucleolus request computes af once, in its core test
+    assert metrics["density.af_calls"]["value"] == 1.0

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arboricity import (
+    AncestorPoset,
     DisconnectedGraphError,
     GraphInputError,
+    InternalInvariantError,
     Multigraph,
     PrimePartition,
     ancestors,
@@ -14,6 +16,7 @@ from arboricity import (
     prime_partition,
 )
 from arboricity.oracle import enumerate_densest_subgraphs
+from arboricity.prime import _ancestor_order
 
 from conftest import (
     four_k4_chain,
@@ -236,3 +239,68 @@ def test_partition_invariants_random(seed):
     for ps in pp.prime_sets:
         for anc in poset.ancestors_of(ps.id):
             assert pp.by_id(anc).level < ps.level
+
+
+@pytest.mark.parametrize("make", [triangle_pendant, two_k4_bridge, lambda: k4_tower(5)])
+def test_prime_partition_takes_the_callers_af(make):
+    g = make()
+    af = fractional_arboricity(g).value
+    assert prime_partition(g, af) == prime_partition(g)
+    with pytest.raises(InternalInvariantError, match="no subgraph attains the given af"):
+        prime_partition(g, af + Fraction(1, 7))
+    with pytest.raises(InternalInvariantError, match="denser than the given af"):
+        prime_partition(g, af - Fraction(1, 7))
+
+
+def _reference_ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
+    """The ancestor order by one dict-based union-find replay over every
+    level per prime set, kept as the reference for ``_ancestor_order``."""
+    from arboricity.multigraph import _UnionFind
+
+    sets = sorted(pp.prime_sets, key=lambda ps: ps.level)
+    max_level = max((ps.level for ps in sets), default=0)
+    by_level: dict[int, list] = {}
+    for ps in sets:
+        by_level.setdefault(ps.level, []).append(ps)
+    pairs = {ps.id: [g.endpoints(eid) for eid in ps.edges] for ps in sets}
+    direct: dict[int, set[int]] = {ps.id: set() for ps in sets}
+    for q in sets:
+        if q.level >= max_level:
+            continue
+        uf = _UnionFind(g.vertices)
+        for level in range(max_level + 1):
+            if level > q.level:
+                for p in by_level.get(level, ()):
+                    images = {uf.find(v) for pair in pairs[p.id] for v in pair}
+                    if len(images) != p.n_p:
+                        direct[p.id].add(q.id)
+            for p in by_level.get(level, ()):
+                if p.id == q.id:
+                    continue
+                for a, b in pairs[p.id]:
+                    uf.union(a, b)
+    closed: dict[int, frozenset[int]] = {}
+    parents: dict[int, frozenset[int]] = {}
+    for ps in sets:
+        below = frozenset().union(*(closed[d] for d in direct[ps.id]))
+        closed[ps.id] = below | direct[ps.id]
+        parents[ps.id] = frozenset(direct[ps.id] - below)
+    return AncestorPoset(parents)
+
+
+def test_ancestor_order_matches_the_reference_replay():
+    import random
+
+    rng = random.Random(13)
+    graphs = [k4_tower(levels) for levels in range(1, 61)]
+    for _ in range(150):
+        graphs.append(random_connected(rng, n_max=9, m_max=16))
+        graphs.append(k4_pairs(rng))
+    layered = 0
+    for g in graphs:
+        pp = prime_partition(g)
+        layered += len({ps.level for ps in pp.prime_sets}) > 1
+        flipped = PrimePartition(tuple(reversed(pp.prime_sets)), pp.non_prime, pp.af)
+        for part in (pp, flipped):
+            assert _ancestor_order(g, part).parents == _reference_ancestor_order(g, part).parents
+    assert len(graphs) == 360 and layered >= 200
