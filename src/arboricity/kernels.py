@@ -16,9 +16,12 @@ edges, and carries one max flow on it from trial to trial (Gallo,
 Grigoriadis & Tarjan, 1989).  Freeing a root drains its sink flow back to
 the source; deleting a vertex or an edge cancels the flow through it and
 zeroes its arcs; each trial then re-augments from the residual graph left
-by the previous one.  The max-flow value and the closed sets of the
-residual graph are the same for every max flow (Picard & Queyranne, 1980),
-so no answer depends on where the flow started.
+by the previous one.  The source's arc list holds only the source arcs that
+can still carry flow: each Dinic phase drops the saturated ones, and freeing
+a root lists again the arcs it reopens, so a warm trial scans the freed
+root's edges at the source instead of all m.  The max-flow value and the
+closed sets of the residual graph are the same for every max flow (Picard &
+Queyranne, 1980), so no answer depends on where the flow started.
 
 ``sweep`` asks whether a connected vertex set is denser than p/q.  It peels
 vertices of degree <= p/q, runs one flow with no root as a shortcut, then one
@@ -72,6 +75,12 @@ def _dinic(
 ) -> int:
     """Max flow; ``arc_cap`` holds residual capacities and is mutated.
 
+    Each phase first drops from ``adj[source]`` the arcs with no residual
+    capacity.  No augmenting path re-enters the source, so a source arc's
+    capacity only falls within one call and a dropped arc stays unusable;
+    the last phase augments nothing, so on return ``adj[source]`` lists
+    exactly the open source arcs, in their old order.
+
     Each phase's breadth-first search stops once the sink has its level: every
     node one layer before the sink is labelled by then, so the phase's
     shortest augmenting paths, and the blocking flow along them, are those of
@@ -82,6 +91,7 @@ def _dinic(
     flow = 0
 
     while True:
+        adj[source] = [a for a in adj[source] if arc_cap[a] > 0]
         level = [-1] * num_nodes
         level[source] = 0
         queue = deque([source])
@@ -156,6 +166,13 @@ class _Walk:
     Every reverse arc starts at 0, so the flow on arc a is ``cap[a ^ 1]``.
     A deleted edge or vertex has all its arcs at 0 in both directions: no
     residual arc enters or leaves it.
+
+    ``adj[source]`` lists every source arc that can carry flow, each once:
+    all m at first, then what ``_dinic`` keeps, plus the arcs that ``free``
+    reopens, which it lists again.  Zeroed arcs of deleted edges may stay
+    listed until the next phase drops them.  Searches that expand the source
+    only follow open arcs, so none of them misses an arc; the backward
+    search from the sink never reaches the source after a max flow.
     """
 
     def __init__(
@@ -203,8 +220,9 @@ class _Walk:
         return self.into_sink
 
     def free(self, r: int) -> None:
-        """Close r's sink arc, first draining its flow back to the source."""
-        cap, us = self.cap, self.us
+        """Close r's sink arc, first draining its flow back to the source
+        and listing each source arc that this reopens."""
+        cap, us, source_arcs = self.cap, self.us, self.adj[self.source]
         s = self.sink_arc + 2 * r
         self.flow -= cap[s + 1]
         for i in self.inc[r]:
@@ -213,6 +231,8 @@ class _Walk:
             if f:
                 cap[a] += f
                 cap[a + 1] = 0
+                if not cap[6 * i]:
+                    source_arcs.append(6 * i)
                 cap[6 * i] += f
                 cap[6 * i + 1] -= f
         cap[s] = cap[s + 1] = 0

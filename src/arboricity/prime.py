@@ -131,12 +131,27 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     return _ancestor_order(g, pp)
 
 
+def _union_all(parent: list[int], ends: list[int]) -> None:
+    """Union the endpoints of each edge, given flattened as ``ends``, in the
+    list-based union-find ``parent`` (finds with path halving)."""
+    for i in range(0, len(ends), 2):
+        a, b = ends[i], ends[i + 1]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+
+
 def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     """``ancestors`` without its input checks, for a partition built from g.
 
     One replay per prime set Q, on a list-based union-find over compact
-    vertex ids; the last level is tested but never contracted, since no
-    level above it is tested."""
+    vertex ids.  Every Q of one level unions the same sets at the levels
+    below it, so those levels are unioned once into a shared base, and Q's
+    replay starts from a copy of it at level(Q).  The last level is tested
+    but never contracted, since no level above it is tested."""
     # every ancestor has a lower level, so in this order it comes first
     sets = sorted(pp.prime_sets, key=lambda ps: ps.level)
     max_level = max((ps.level for ps in sets), default=0)
@@ -151,17 +166,23 @@ def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     }
 
     direct: dict[int, set[int]] = {ps.id: set() for ps in sets}
+    base = list(range(len(index)))
+    base_level = 0  # base holds the unions of every level below this one
     for q in sets:
         if q.level >= max_level:
-            continue
-        parent = list(range(len(index)))
+            break
+        while base_level < q.level:
+            for p in by_level.get(base_level, ()):
+                _union_all(base, ends[p.id])
+            base_level += 1
+        parent = list(base)
 
         def find(x: int) -> int:
             while parent[x] != x:  # path halving
                 parent[x] = x = parent[parent[x]]
             return x
 
-        for level in range(max_level + 1):
+        for level in range(q.level, max_level + 1):
             if level > q.level:
                 for p in by_level.get(level, ()):  # test before contracting level
                     if len({find(v) for v in ends[p.id]}) != p.n_p:
@@ -169,13 +190,8 @@ def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
             if level == max_level:
                 break
             for p in by_level.get(level, ()):
-                if p.id == q.id:
-                    continue
-                e = ends[p.id]
-                for i in range(0, len(e), 2):
-                    a, b = find(e[i]), find(e[i + 1])
-                    if a != b:
-                        parent[a] = b
+                if p.id != q.id:
+                    _union_all(parent, ends[p.id])
 
     # The pairwise test yields the direct dependences; a prime set can also
     # depend on the ancestors of its ancestors even when the direct test

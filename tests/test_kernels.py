@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +152,108 @@ def test_minimal_densest_matches_the_per_vertex_searches():
     assert nonempty > len(pairs) // 3
 
 
+def _densest_by_edge_flows(n, us, vs, p, q):
+    """Test-only reference for ``kernels.minimal_densest`` at p/q = af, with
+    its own Edmonds-Karp max flow on a fresh network per distinct edge {u, v}.
+
+    The source feeds each edge q units, an edge passes them on to its two ends
+    over uncapped arcs, every vertex but u drains p units into the sink, and
+    an uncapped source arc ties v to the source side.  A cut whose vertex set
+    U holds u costs q*m - (q*m(U) - p*(|U| - 1)), and one whose U misses u
+    costs p more than that.  So the flow falls below q*m only when some set is
+    denser than p/q (None), and every denser set holds some edge's ends; a
+    flow of exactly q*m means a set of density p/q holds both ends, and the
+    smallest min-cut source side, read from the residual graph, holds the
+    smallest such set.  The minimal densest sets are the inclusion-minimal
+    ones among these."""
+    m = len(us)
+    big = q * m + p * n + 1
+    source, sink = n + m, n + m + 1
+    found = set()
+    for u, v in sorted({(min(e), max(e)) for e in zip(us, vs)}):
+        out = [[] for _ in range(n + m + 2)]
+        head, cap = [], []
+        for a, b, c in [(source, n + i, q) for i in range(m)] + [
+            (n + i, w, big) for i in range(m) for w in (us[i], vs[i])
+        ] + [(w, sink, p) for w in range(n) if w != u] + [(source, v, big)]:
+            for x, y, z in ((a, b, c), (b, a, 0)):
+                out[x].append(len(head))
+                head.append(y)
+                cap.append(z)
+        flow = 0
+        while True:
+            via = {source: None}  # the arc each reached node was reached by
+            queue = deque([source])
+            while queue and sink not in via:
+                x = queue.popleft()
+                for a in out[x]:
+                    if cap[a] > 0 and head[a] not in via:
+                        via[head[a]] = a
+                        queue.append(head[a])
+            if sink not in via:
+                break
+            path, x = [], sink
+            while x != source:
+                path.append(via[x])
+                x = head[via[x] ^ 1]
+            pushed = min(cap[a] for a in path)
+            for a in path:
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
+            flow += pushed
+        if flow < q * m:
+            return None
+        if flow == q * m:
+            found.add(frozenset(x for x in via if x < n))
+    minimal = []
+    for dense in sorted(found, key=len):
+        if not any(d <= dense for d in minimal):
+            minimal.append(dense)
+    return sorted(sorted(d) for d in minimal)
+
+
+def _k4_blocks(rng):
+    """4 to 8 K4s, each after the first glued at the lowest vertex of an
+    earlier one or joined to one by an edge, plus up to 4 random edges:
+    several minimal densest sets, some sharing their lowest vertex, unless
+    an extra edge makes a denser set."""
+    blocks, edges, n = [], [], 0  # n: the next new vertex
+    for b in range(rng.randint(4, 8)):
+        if b and rng.random() < 0.5:
+            block = [rng.choice(blocks)[0], n, n + 1, n + 2]
+        else:
+            block = [n, n + 1, n + 2, n + 3]
+            if b:
+                edges.append((rng.choice(rng.choice(blocks)), n))
+        edges += [(block[i], block[j]) for i in range(4) for j in range(i + 1, 4)]
+        blocks.append(block)
+        n = block[-1] + 1
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+    return Multigraph.from_edge_list(edges)
+
+
+def test_minimal_densest_matches_an_edmonds_karp_reference():
+    # mid-scale graphs, each checked against flows that share no code with
+    # the kernel: 40 random multigraphs and 30 K4 block graphs, at af
+    graphs = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        m = rng.randint(20, 60)
+        graphs.append(_random_multigraph(rng, rng.randint(4, min(m + 1, 30)), m))
+    graphs += [_k4_blocks(random.Random(seed)) for seed in range(30)]
+    several = 0
+    for g in graphs:
+        assert 20 <= g.num_edges() <= 60
+        _, us, vs = _compact(g)
+        af = fractional_arboricity(g).value
+        n, p, q = g.num_vertices(), af.numerator, af.denominator
+        expected = _densest_by_edge_flows(n, us, vs, p, q)
+        assert expected  # af is attained and nothing is denser
+        assert kernels.minimal_densest(n, us, vs, p, q) == expected
+        several += len(expected) > 1
+    assert several >= 15
+
+
 @pytest.mark.parametrize(
     "lam, expected",
     [
@@ -237,20 +340,56 @@ def test_carried_flow_matches_a_cold_flow(monkeypatch):
         trials.append(walk)
         return short, side
 
-    graphs = [random_connected(random.Random(seed), n_max=10, m_max=24) for seed in range(300)]
-    afs = [fractional_arboricity(g).value for g in graphs]
+    cases = _walk_cases()
     monkeypatch.setattr(kernels._Walk, "free", recording_free)
     monkeypatch.setattr(kernels, "_trial", checked)
-    for g, af in zip(graphs, afs):
+    for n, us, vs, lam in cases:
+        kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
+        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
+    # most trials start from the flow left by an earlier trial of their walk
+    warm = len(trials) - len(set(trials))
+    assert warm > 1500
+
+
+def _walk_cases():
+    """(n, us, vs, threshold) for 300 seeded multigraphs with parallel edges,
+    at af - 1/2n, af, af + 1/n^2, the whole graph's density and halfway to
+    it: the walks of ``sweep`` and ``minimal_densest`` on these start cold,
+    run warm for many roots, and end short or exhausted."""
+    cases = []
+    for seed in range(300):
+        g = random_connected(random.Random(seed), n_max=10, m_max=24)
+        af = fractional_arboricity(g).value
         _, us, vs = _compact(g)
         n = g.num_vertices()
         whole = Fraction(len(us), n - 1)  # where the af iteration starts
         for lam in (af - Fraction(1, 2 * n), af, af + Fraction(1, n * n), whole, (whole + af) / 2):
-            kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
-            kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
-    # most trials start from the flow left by an earlier trial of their walk
-    warm = len(trials) - len(set(trials))
-    assert warm > 1500
+            cases.append((n, us, vs, lam))
+    return cases
+
+
+def test_source_lists_every_open_source_arc(monkeypatch):
+    # the source's arc list may skip only saturated or deleted source arcs:
+    # _dinic drops those at each phase, and free lists an arc again when it
+    # reopens it
+    trial = kernels._trial
+    checked = []
+
+    def listed(walk):
+        result = trial(walk)
+        arcs = walk.adj[walk.source]
+        assert len(arcs) == len(set(arcs))
+        assert all(a % 6 == 0 and a < 6 * len(walk.us) for a in arcs)
+        assert {6 * i for i in range(len(walk.us)) if walk.cap[6 * i] > 0} <= set(arcs)
+        checked.append(len(arcs) < len(walk.us))
+        return result
+
+    cases = _walk_cases()
+    monkeypatch.setattr(kernels, "_trial", listed)
+    for n, us, vs, lam in cases:
+        kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
+        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
+    assert len(checked) > 4000 and sum(checked) > len(checked) // 2  # most lists shrank
 
 
 def test_tracer_counts_the_kernel(monkeypatch):
@@ -301,3 +440,19 @@ def test_bench_command_runs_traced():
         assert metrics[name]["value"] > 0, name
     # a nucleolus request computes af once, in its core test
     assert metrics["density.af_calls"]["value"] == 1.0
+
+
+def test_bench_random_check_passes():
+    # one untraced pass of the benchmark's random workload: its check holds
+    # each af against scipy's max flow and each level-0 witness against the
+    # graph, a check of the flow kernel that shares no code with it
+    root = Path(__file__).resolve().parents[1]
+    argv = ["pipeline_bench/run.py", "--workload", "random", "--seed", "0"]
+    proc = subprocess.run(
+        [sys.executable, *argv, "--seconds", "0", "--trace", "0"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["attempted"] > 0
