@@ -34,16 +34,24 @@ At af the min cuts of a root's flow are exactly the cuts of the vertex sets
 {}, {r} and the densest sets containing r, and by Picard & Queyranne (1980)
 these are the closed sets of the residual graph; so the smallest densest set
 containing r and a vertex w is what w reaches in the residual graph, unless
-w reaches the sink.  Each root takes one backward search from the sink and
-one pass of Tarjan's algorithm over the residual nodes that cannot reach
-it, and then one forward search per *bottom* SCC: one that holds a live
-vertex other than r, with no such vertex in any SCC it reaches.  No other
-search is needed: reach(w) contains reach(w') exactly when w' lies in
+w reaches the sink.  A trial at af that is not short saturates every live
+source arc, so each edge e = (x, y) passes q units in all to x and y, and
+no flow enters r, whose sink arc is closed.  Hence x reaches y through e
+exactly when e sends flow to x, and e leads nowhere else but to the source,
+where no open arc leaves: reachability among vertices, and their SCCs, can
+be read on the vertices alone.  Each root takes one backward search over
+vertices from those whose sink arc is open, and one pass of Tarjan's
+algorithm over the vertices that search leaves.  Its sets are the *bottom*
+SCCs, each with r added: those that hold a live vertex other than r and
+reach no other SCC holding one.  Such an SCC plus r is exactly what each of
+its vertices reaches: what it reaches holds r, since a cut whose vertex set
+is not empty and misses r costs more than the max flow, q per live edge.
+No other set is needed: reach(w) contains reach(w') exactly when w' lies in
 reach(w), and from any w the SCCs it reaches include a bottom one, so every
-skipped set contains a searched one and the closing minimality filter
-returns the same list.  A minimal densest set is found at its first root:
-no earlier root lies in it, and every vertex of it has degree >= af inside
-it, so the peel (strict here, since a 2-vertex set of af parallel edges has
+skipped set contains a listed one and the closing minimality filter returns
+the same list.  A minimal densest set is found at its first root: no
+earlier root lies in it, and every vertex of it has degree >= af inside it,
+so the peel (strict here, since a 2-vertex set of af parallel edges has
 degree exactly af) keeps it.
 
 ``active()`` returns this module and ``NAME`` names it, so code that
@@ -165,14 +173,16 @@ class _Walk:
     6i + 2 and 6i + 4; vertex v is node v with its sink arc at 6m + 2v.
     Every reverse arc starts at 0, so the flow on arc a is ``cap[a ^ 1]``.
     A deleted edge or vertex has all its arcs at 0 in both directions: no
-    residual arc enters or leaves it.
+    residual arc enters or leaves it.  ``nbrs[x]`` holds, for each edge e
+    between x and y, the triple (y, arc e->x, arc e->y); e's arcs start at
+    ``a - a % 6`` for either of them.
 
     ``adj[source]`` lists every source arc that can carry flow, each once:
     all m at first, then what ``_dinic`` keeps, plus the arcs that ``free``
     reopens, which it lists again.  Zeroed arcs of deleted edges may stay
-    listed until the next phase drops them.  Searches that expand the source
-    only follow open arcs, so none of them misses an arc; the backward
-    search from the sink never reaches the source after a max flow.
+    listed until the next phase drops them.  The one search over the whole
+    network, ``sweep``'s from the source, follows only open arcs, so it
+    misses none.
     """
 
     def __init__(
@@ -186,22 +196,20 @@ class _Walk:
         self.adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
         self.arc_to: list[int] = []
         self.cap: list[int] = []
-        self.inc: list[list[int]] = [[] for _ in range(n)]
-        self.deg = [0] * n
+        self.nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for i in range(m):  # appended in this order, arcs get the indices above
             self._arc(self.source, n + i, q)
             self._arc(n + i, us[i], q)
             self._arc(n + i, vs[i], q)
-            for v in (us[i], vs[i]):
-                self.inc[v].append(i)
-                self.deg[v] += 1
+            self.nbrs[us[i]].append((vs[i], 6 * i + 2, 6 * i + 4))
+            self.nbrs[vs[i]].append((us[i], 6 * i + 4, 6 * i + 2))
         for v in range(n):
             self._arc(v, self.sink, p)
         self.sink_arc = 6 * m  # vertex v's is sink_arc + 2v
         self.flow = 0
-        self.into_sink: set[int] | None = None  # of the last trial, once built
         self.live = m  # edges with both endpoints alive
         self.alive = [True] * n
+        self.deg = [len(x) for x in self.nbrs]
         self.queue = deque(v for v in range(n) if not keep(self.deg[v]))
 
     def _arc(self, a: int, b: int, cap: int) -> None:
@@ -212,52 +220,45 @@ class _Walk:
         self.arc_to.append(a)
         self.cap.append(0)
 
-    def reaching_sink(self) -> set[int]:
-        """The nodes that reach the sink in the residual graph of the last
-        trial, from one backward search built on the first call after it."""
-        if self.into_sink is None:
-            self.into_sink = _reach(self.adj, self.arc_to, self.cap, self.sink, False)
-        return self.into_sink
-
     def free(self, r: int) -> None:
         """Close r's sink arc, first draining its flow back to the source
         and listing each source arc that this reopens."""
-        cap, us, source_arcs = self.cap, self.us, self.adj[self.source]
+        cap, source_arcs = self.cap, self.adj[self.source]
         s = self.sink_arc + 2 * r
         self.flow -= cap[s + 1]
-        for i in self.inc[r]:
-            a = 6 * i + (2 if us[i] == r else 4)
+        for _, a, _ in self.nbrs[r]:
             f = cap[a + 1]
             if f:
                 cap[a] += f
                 cap[a + 1] = 0
-                if not cap[6 * i]:
-                    source_arcs.append(6 * i)
-                cap[6 * i] += f
-                cap[6 * i + 1] -= f
+                e = a - a % 6
+                if not cap[e]:
+                    source_arcs.append(e)
+                cap[e] += f
+                cap[e + 1] -= f
         cap[s] = cap[s + 1] = 0
 
     def delete(self, v: int) -> None:
         """Delete v and its live edges, cancelling the flow through them."""
-        cap, us, vs, deg, alive, keep = self.cap, self.us, self.vs, self.deg, self.alive, self.keep
+        cap, deg, alive, keep, sink_arc = self.cap, self.deg, self.alive, self.keep, self.sink_arc
         alive[v] = False
-        for i in self.inc[v]:
-            w = vs[i] if us[i] == v else us[i]
+        for w, a, b in self.nbrs[v]:
             if not alive[w]:
                 continue
-            for end, a in ((us[i], 6 * i + 2), (vs[i], 6 * i + 4)):
-                f = cap[a + 1]
+            for end, arc in ((v, a), (w, b)):
+                f = cap[arc + 1]
                 if f:
-                    s = self.sink_arc + 2 * end
+                    s = sink_arc + 2 * end
                     cap[s] += f
                     cap[s + 1] -= f
                     self.flow -= f
-            cap[6 * i : 6 * i + 6] = (0, 0, 0, 0, 0, 0)
+            e = a - a % 6
+            cap[e : e + 6] = (0, 0, 0, 0, 0, 0)
             self.live -= 1
             deg[w] -= 1
             if keep(deg[w] + 1) and not keep(deg[w]):  # just failed: queue once
                 self.queue.append(w)
-        s = self.sink_arc + 2 * v
+        s = sink_arc + 2 * v
         cap[s] = cap[s + 1] = 0
 
     def roots(self, first: int) -> Iterator[int]:
@@ -285,65 +286,67 @@ class _Walk:
                 self.delete(r)
 
 
-def _trial(walk: _Walk) -> tuple[bool, Callable[[int], list[int] | None]]:
-    """Re-augment the walk's flow to a max flow on its live subgraph.
-
-    Returns whether the flow falls short of q times the number of live edges,
-    and ``side(v)``: the live vertices, ascending, on the source side of the
-    smallest min cut (v < 0) or of the smallest min cut that holds vertex v
-    there, or None when no min cut does.
-    """
-    adj, arc_to, cap, n = walk.adj, walk.arc_to, walk.cap, walk.n
-    walk.flow += _dinic(walk.num_nodes, adj, arc_to, cap, walk.source, walk.sink)
-    walk.into_sink = None
-
-    def side(v: int) -> list[int] | None:
-        if v >= 0 and v in walk.reaching_sink():
-            return None
-        seen = _reach(adj, arc_to, cap, v if v >= 0 else walk.source, True)
-        return sorted(x for x in seen if x < n)
-
-    return walk.flow < walk.q * walk.live, side
+def _trial(walk: _Walk) -> bool:
+    """Re-augment the walk's flow to a max flow on its live subgraph, and
+    return whether it falls short of q times the number of live edges."""
+    walk.flow += _dinic(walk.num_nodes, walk.adj, walk.arc_to, walk.cap, walk.source, walk.sink)
+    return walk.flow < walk.q * walk.live
 
 
-def _bottoms(walk: _Walk, r: int) -> list[int]:
-    """One live vertex other than r from each bottom SCC of the last trial's
-    residual graph: an SCC that holds such a vertex, with none in any SCC it
-    reaches.  Searches the nodes that those vertices reach and that do not
-    reach the sink, in one iterative pass of Tarjan's algorithm."""
-    adj, arc_to, cap, alive = walk.adj, walk.arc_to, walk.cap, walk.alive
-    into_sink = walk.reaching_sink()
-    index = [-1] * walk.num_nodes  # order of discovery
-    low = [0] * walk.num_nodes
-    done = [False] * walk.num_nodes  # its SCC has been emitted
-    # emitted: the SCC reaches a live vertex other than r; on the stack: the
-    # node has an arc into an emitted SCC that does
-    hit = [False] * walk.num_nodes
+def _sink_side(walk: _Walk) -> list[bool]:
+    """Per vertex, whether it reaches the sink in the residual graph of a
+    trial at af that is not short: whether its sink arc is open or it
+    reaches, through an edge that sends it flow, a vertex that does."""
+    cap, nbrs = walk.cap, walk.nbrs
+    flag = [c > 0 for c in cap[walk.sink_arc :: 2]]
+    stack = [v for v, f in enumerate(flag) if f]
+    while stack:
+        y = stack.pop()
+        for x, _, a in nbrs[y]:  # a: the arc e->x
+            if not flag[x] and cap[a + 1] > 0:
+                flag[x] = True
+                stack.append(x)
+    return flag
+
+
+def _bottoms(walk: _Walk, r: int) -> list[list[int]]:
+    """The vertices, ascending, of each bottom SCC of the last trial's
+    residual graph with r added, for a trial at af that is not short with
+    root r.  A bottom SCC holds live vertices other than r, and reaches no
+    other SCC that does.  One iterative pass of Tarjan's algorithm over the
+    vertices off the sink side, where x has an arc to y for each edge that
+    sends x flow; r, which no flow enters, has none, so arcs into r are
+    ignored."""
+    n, nbrs, cap, alive = walk.n, walk.nbrs, walk.cap, walk.alive
+    sink_side = _sink_side(walk)
+    index = [-1] * n  # order of discovery
+    low = [0] * n
+    done = [False] * n  # its SCC has been emitted
+    below = [False] * n  # reaches an emitted SCC
     stack: list[int] = []
-    bottoms: list[int] = []
+    bottoms: list[list[int]] = []
     count = 0
-    for w in range(walk.n):
-        if w == r or not alive[w] or index[w] >= 0 or w in into_sink:
+    for w in range(n):
+        if w == r or not alive[w] or index[w] >= 0 or sink_side[w]:
             continue
-        # no residual arc enters into_sink from outside it, so the search
-        # below never enters it
+        # no vertex off the sink side reaches one on it, so the search below
+        # never leaves the vertices off it
         index[w] = low[w] = count
         count += 1
         stack.append(w)
-        calls = [(w, iter(adj[w]))]
+        calls = [(w, iter(nbrs[w]))]
         while calls:
             u, arcs = calls[-1]
-            for a in arcs:
-                if cap[a] > 0:
-                    v = arc_to[a]
+            for v, a, _ in arcs:
+                if cap[a + 1] > 0 and v != r:
                     if index[v] < 0:
                         index[v] = low[v] = count
                         count += 1
                         stack.append(v)
-                        calls.append((v, iter(adj[v])))
+                        calls.append((v, iter(nbrs[v])))
                         break
                     if done[v]:
-                        hit[u] = hit[u] or hit[v]
+                        below[u] = True
                     elif index[v] < low[u]:
                         low[u] = index[v]
             else:
@@ -354,17 +357,15 @@ def _bottoms(walk: _Walk, r: int) -> list[int]:
                         k -= 1
                     members = stack[k:]
                     del stack[k:]
-                    below = any(hit[x] for x in members)
-                    mine = [x for x in members if x < walk.n and x != r]
-                    if mine and not below:
-                        bottoms.append(mine[0])
+                    if not any(below[x] for x in members):
+                        bottoms.append(sorted(members + [r]))
                     for x in members:
                         done[x] = True
-                        hit[x] = below or bool(mine)
                 if calls:
                     t = calls[-1][0]
-                    hit[t] = hit[t] or hit[u]
-                    if not done[u] and low[u] < low[t]:
+                    if done[u]:
+                        below[t] = True
+                    elif low[u] < low[t]:
                         low[t] = low[u]
     return bottoms
 
@@ -375,9 +376,11 @@ def sweep(
     """Find source-side vertices of a witness for density > p/q, or None."""
     walk = _Walk(n, us, vs, p, q, lambda d: q * d > p)
     for _ in walk.roots(-1):
-        short, side = _trial(walk)
-        if short:
-            return side(-1)
+        if _trial(walk):
+            # the smallest min cut's source side: a short flow leaves source
+            # arcs open, so the search runs on the whole network
+            seen = _reach(walk.adj, walk.arc_to, walk.cap, walk.source, True)
+            return sorted(x for x in seen if x < n)
     return None
 
 
@@ -389,11 +392,9 @@ def minimal_densest(
     found: set[frozenset[int]] = set()
     walk = _Walk(n, us, vs, p, q, lambda d: q * d >= p)
     for r in walk.roots(0):
-        short, side = _trial(walk)
-        if short:
+        if _trial(walk):
             return None
-        for w in _bottoms(walk, r):
-            found.add(frozenset(side(w)))
+        found.update(frozenset(dense) for dense in _bottoms(walk, r))
     minimal: list[frozenset[int]] = []
     for dense in sorted(found, key=len):
         if not any(m <= dense for m in minimal):

@@ -102,15 +102,34 @@ def test_dinic_returns_a_max_flow_on_long_augmenting_paths(p, q):
     )
 
 
+def _warm_sides(walk):
+    """``side(v)`` for the walk's last trial: the live vertices, ascending, on
+    the source side of the smallest min cut (v < 0) or of the smallest min cut
+    that holds vertex v there, or None when no min cut does.  Read on the
+    whole network, as ``_cold_trial`` reads a fresh one: one backward search
+    from the sink, then a forward search per call."""
+    adj, arc_to, cap = walk.adj, walk.arc_to, walk.cap
+    into_sink = kernels._reach(adj, arc_to, cap, walk.sink, False)
+
+    def side(v):
+        if v >= 0 and v in into_sink:
+            return None
+        seen = kernels._reach(adj, arc_to, cap, v if v >= 0 else walk.source, True)
+        return sorted(x for x in seen if x < walk.n)
+
+    return side
+
+
 def _per_vertex_minimal_densest(n, us, vs, p, q):
-    """``kernels.minimal_densest`` with one forward search per live vertex
-    other than the root, where the kernel searches once per bottom SCC."""
+    """``kernels.minimal_densest`` with one forward search on the whole
+    network per live vertex other than the root, where the kernel reads one
+    set per bottom SCC from the vertices alone."""
     found = set()
     walk = kernels._Walk(n, us, vs, p, q, lambda d: q * d >= p)
     for r in walk.roots(0):
-        short, side = kernels._trial(walk)
-        if short:
+        if kernels._trial(walk):
             return None
+        side = _warm_sides(walk)
         for w in range(n):
             if walk.alive[w] and w != r:
                 dense = side(w)
@@ -327,7 +346,8 @@ def test_carried_flow_matches_a_cold_flow(monkeypatch):
     lam = None  # the threshold of the current call
 
     def checked(walk):
-        short, side = trial(walk)
+        short = trial(walk)
+        side = _warm_sides(walk)
         root = roots.get(walk, -1)
         p, q = lam.numerator, lam.denominator
         flow, cold_side = _cold_trial(walk.n, walk.us, walk.vs, walk.alive, p, q, root)
@@ -338,7 +358,7 @@ def test_carried_flow_matches_a_cold_flow(monkeypatch):
         for v in [-1, *live]:
             assert side(v) == cold_side(v)
         trials.append(walk)
-        return short, side
+        return short
 
     cases = _walk_cases()
     monkeypatch.setattr(kernels._Walk, "free", recording_free)
@@ -366,6 +386,39 @@ def _walk_cases():
         for lam in (af - Fraction(1, 2 * n), af, af + Fraction(1, n * n), whole, (whole + af) / 2):
             cases.append((n, us, vs, lam))
     return cases
+
+
+def test_bottoms_read_the_residual_graph_on_vertices(monkeypatch):
+    # after every root trial of minimal_densest that is not short: no flow
+    # enters the root, the vertex-level sink flags are the vertices that reach
+    # the sink on the whole network, and each set _bottoms returns is what its
+    # smallest vertex other than the root reaches there
+    bottoms = kernels._bottoms
+    counts = {"roots": 0, "sets": 0}
+
+    def checked(walk, r):
+        adj, arc_to, cap, n = walk.adj, walk.arc_to, walk.cap, walk.n
+        for i, (u, v) in enumerate(zip(walk.us, walk.vs)):
+            if r in (u, v):
+                assert cap[6 * i + (2 if u == r else 4) + 1] == 0
+        into_sink = kernels._reach(adj, arc_to, cap, walk.sink, False)
+        flags = kernels._sink_side(walk)
+        assert [v for v in range(n) if flags[v]] == sorted(x for x in into_sink if x < n)
+        result = bottoms(walk, r)
+        for dense in result:
+            rest = [x for x in dense if x != r]
+            assert rest
+            reach = kernels._reach(adj, arc_to, cap, rest[0], True)
+            assert dense == sorted(x for x in reach if x < n)
+        counts["roots"] += 1
+        counts["sets"] += len(result)
+        return result
+
+    cases = _walk_cases()
+    monkeypatch.setattr(kernels, "_bottoms", checked)
+    for n, us, vs, lam in cases:
+        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
+    assert counts["roots"] > 1000 and counts["sets"] > 800, counts
 
 
 def test_source_lists_every_open_source_arc(monkeypatch):

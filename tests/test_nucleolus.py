@@ -1,4 +1,9 @@
+import json
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,7 @@ from arboricity import (
     prime_partition,
     solve_epsilon,
 )
+from arboricity.cli import main as cli_main
 from arboricity.nucleolus import solve_nucleolus
 
 from conftest import (
@@ -29,6 +35,11 @@ from conftest import (
     two_k4_bridge,
     two_k4_shared_vertex,
 )
+
+# the benchmark's structured generators and closed-form checks, read only
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipeline_bench"))
+import checks  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_peel_antichain():
@@ -144,6 +155,24 @@ def test_k4_tower_closed_form():
     for i in range(1, levels):
         expected[4 + 2 * i] = expected[5 + 2 * i] = (levels - i) * eps
     assert sol.allocation == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_structured_closed_forms_at_scale(tmp_path, seed):
+    # K4 block trees (B = 200) and pair hierarchies (d = 8: 256 K4s over 9
+    # levels), far beyond the brute-force oracles: the CLI's nucleolus meets
+    # the construction's closed form and the core, and the prime partition
+    # has the prime sets per level that the construction fixes
+    rng = random.Random(seed)
+    for inst in (workloads.block_tree(rng, 200), workloads.pair_hierarchy(rng, 8)):
+        graph_file = tmp_path / f"{inst.family}.txt"
+        graph_file.write_text("".join(f"{u} {v}\n" for u, v in inst.edges))
+        out = tmp_path / f"{inst.family}.json"
+        assert cli_main(["nucleolus", str(graph_file), "--output", str(out)]) == 0
+        checks.check_structured(inst, json.loads(out.read_text()))
+        pp = prime_partition(Multigraph.from_edge_list(inst.edges))
+        assert Counter(ps.level for ps in pp.prime_sets) == checks.expected_levels(inst)
+        assert not pp.non_prime
 
 
 def test_nucleolus_empty_core():
