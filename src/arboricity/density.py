@@ -148,17 +148,16 @@ def minimal_densest_subgraph(g: Multigraph) -> frozenset[VertexId]:
     return enumerate_minimal_densest_subgraphs(g)[0]
 
 
-def _enumerate_mds(g: Multigraph, lam: Fraction) -> list[frozenset[VertexId]]:
-    """The minimal connected subgraphs of ``g`` of density lam >= af(g) (the
-    minimal densest subgraphs when lam = af(g)), ordered by their sorted
-    vertex lists; empty when no subgraph attains lam."""
+def _enumerate_mds(g: Multigraph, lam: Fraction) -> list[Multigraph]:
+    """The minimal connected induced subgraphs of ``g`` of density
+    lam >= af(g) (the minimal densest subgraphs when lam = af(g)), ordered by
+    their sorted vertex lists; empty when no subgraph attains lam."""
     verts, us, vs = _compact(g)
     raw = kernels.minimal_densest(len(verts), us, vs, lam.numerator, lam.denominator)
     if raw is None:
         raise InternalInvariantError("a subgraph is denser than the given af")
-    found = [frozenset(verts[i] for i in mds) for mds in raw]
-    for mds in found:
-        sub = g.induced_by_vertices(mds)
+    found = [g.induced_by_vertices(verts[i] for i in mds) for mds in raw]
+    for sub in found:
         if not sub.is_connected() or density(sub) != lam:
             raise InternalInvariantError("minimal densest subgraph extraction failed")
     return found
@@ -173,4 +172,4 @@ def enumerate_minimal_densest_subgraphs(
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
     lam = fractional_arboricity(g).value
-    return _enumerate_mds(g, lam)
+    return [sub.vertices for sub in _enumerate_mds(g, lam)]

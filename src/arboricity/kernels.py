@@ -39,17 +39,22 @@ source arc, so each edge e = (x, y) passes q units in all to x and y, and
 no flow enters r, whose sink arc is closed.  Hence x reaches y through e
 exactly when e sends flow to x, and e leads nowhere else but to the source,
 where no open arc leaves: reachability among vertices, and their SCCs, can
-be read on the vertices alone.  Each root takes one backward search over
-vertices from those whose sink arc is open, and one pass of Tarjan's
-algorithm over the vertices that search leaves.  Its sets are the *bottom*
-SCCs, each with r added: those that hold a live vertex other than r and
-reach no other SCC holding one.  Such an SCC plus r is exactly what each of
-its vertices reaches: what it reaches holds r, since a cut whose vertex set
-is not empty and misses r costs more than the max flow, q per live edge.
-No other set is needed: reach(w) contains reach(w') exactly when w' lies in
-reach(w), and from any w the SCCs it reaches include a bottom one, so every
-skipped set contains a listed one and the closing minimality filter returns
-the same list.  A minimal densest set is found at its first root: no
+be read on the vertices alone.  A root's sets are the *bottom* SCCs of the
+vertices off the sink side, each with r added: those that hold a live
+vertex other than r and reach no other SCC holding one.  Such an SCC plus r
+is exactly what each of its vertices reaches: what it reaches holds r,
+since a cut whose vertex set is not empty and misses r costs more than the
+max flow, q per live edge.  No other set is needed: reach(w) contains
+reach(w') exactly when w' lies in reach(w), and from any w the SCCs it
+reaches include a bottom one, so every skipped set contains a listed one
+and the closing minimality filter returns the same list.  Since every
+vertex of a bottom SCC C reaches r, the last vertex before r on such a path
+is a neighbour y of r whose edge sends y flow, and y lies in C, the only
+SCC that C reaches.  So the bottom SCCs are found by one Tarjan search from
+each such y, given up at the first vertex whose sink arc is open or that
+an earlier search found; a search not given up ends at its first completed
+SCC, which is a bottom one.  A root's work is thus bounded by what its
+neighbours reach.  A minimal densest set is found at its first root: no
 earlier root lies in it, and every vertex of it has degree >= af inside it,
 so the peel (strict here, since a 2-vertex set of af parallel edges has
 degree exactly af) keeps it.
@@ -293,80 +298,58 @@ def _trial(walk: _Walk) -> bool:
     return walk.flow < walk.q * walk.live
 
 
-def _sink_side(walk: _Walk) -> list[bool]:
-    """Per vertex, whether it reaches the sink in the residual graph of a
-    trial at af that is not short: whether its sink arc is open or it
-    reaches, through an edge that sends it flow, a vertex that does."""
-    cap, nbrs = walk.cap, walk.nbrs
-    flag = [c > 0 for c in cap[walk.sink_arc :: 2]]
-    stack = [v for v, f in enumerate(flag) if f]
-    while stack:
-        y = stack.pop()
-        for x, _, a in nbrs[y]:  # a: the arc e->x
-            if not flag[x] and cap[a + 1] > 0:
-                flag[x] = True
-                stack.append(x)
-    return flag
-
-
 def _bottoms(walk: _Walk, r: int) -> list[list[int]]:
     """The vertices, ascending, of each bottom SCC of the last trial's
     residual graph with r added, for a trial at af that is not short with
-    root r.  A bottom SCC holds live vertices other than r, and reaches no
-    other SCC that does.  One iterative pass of Tarjan's algorithm over the
-    vertices off the sink side, where x has an arc to y for each edge that
-    sends x flow; r, which no flow enters, has none, so arcs into r are
-    ignored."""
-    n, nbrs, cap, alive = walk.n, walk.nbrs, walk.cap, walk.alive
-    sink_side = _sink_side(walk)
-    index = [-1] * n  # order of discovery
-    low = [0] * n
-    done = [False] * n  # its SCC has been emitted
-    below = [False] * n  # reaches an emitted SCC
-    stack: list[int] = []
+    root r.  A bottom SCC holds live vertices other than r, is off the sink
+    side, and reaches no other SCC that holds such vertices.
+
+    x has an arc to y for each edge that sends x flow; arcs into r, which no
+    flow enters, are ignored.  One Tarjan search runs from each neighbour y
+    of r whose edge sends y flow and that no earlier search found.  It gives
+    up at a vertex whose sink arc is open or that an earlier search found:
+    every vertex on Tarjan's stack reaches that vertex, so none of them lies
+    in a bottom SCC, and all of them stay found.  A search that is not given
+    up ends at its first completed SCC: all it reaches lies in it, so it is
+    a bottom SCC.  Every bottom SCC holds such a y, so some search meets it,
+    and the first to do so finds nothing beyond it and completes it."""
+    nbrs, cap, sink_arc = walk.nbrs, walk.cap, walk.sink_arc
+    index: dict[int, int] = {}  # order of discovery, over all searches
+    low: dict[int, int] = {}
+    order: list[int] = []  # the vertices found, in order of discovery
     bottoms: list[list[int]] = []
-    count = 0
-    for w in range(n):
-        if w == r or not alive[w] or index[w] >= 0 or sink_side[w]:
+    for y, _, b in nbrs[r]:
+        if not cap[b + 1] or y in index or cap[sink_arc + 2 * y]:
             continue
-        # no vertex off the sink side reaches one on it, so the search below
-        # never leaves the vertices off it
-        index[w] = low[w] = count
-        count += 1
-        stack.append(w)
-        calls = [(w, iter(nbrs[w]))]
+        # no SCC completes before a search ends, so its Tarjan stack is
+        # order[base:], and a vertex found before base is an earlier search's
+        base = index[y] = low[y] = len(order)
+        order.append(y)
+        calls = [(y, iter(nbrs[y]))]
         while calls:
             u, arcs = calls[-1]
             for v, a, _ in arcs:
-                if cap[a + 1] > 0 and v != r:
-                    if index[v] < 0:
-                        index[v] = low[v] = count
-                        count += 1
-                        stack.append(v)
-                        calls.append((v, iter(nbrs[v])))
-                        break
-                    if done[v]:
-                        below[u] = True
-                    elif index[v] < low[u]:
-                        low[u] = index[v]
+                if not cap[a + 1] or v == r:
+                    continue
+                i = index.get(v)
+                if i is None and not cap[sink_arc + 2 * v]:
+                    index[v] = low[v] = len(order)
+                    order.append(v)
+                    calls.append((v, iter(nbrs[v])))
+                    break
+                if i is None or i < base:  # open sink arc, or found earlier
+                    calls.clear()
+                    break
+                if i < low[u]:
+                    low[u] = i
             else:
                 calls.pop()
-                if low[u] == index[u]:  # u roots an SCC; all it reaches is emitted
-                    k = len(stack) - 1
-                    while stack[k] != u:
-                        k -= 1
-                    members = stack[k:]
-                    del stack[k:]
-                    if not any(below[x] for x in members):
-                        bottoms.append(sorted(members + [r]))
-                    for x in members:
-                        done[x] = True
-                if calls:
-                    t = calls[-1][0]
-                    if done[u]:
-                        below[t] = True
-                    elif low[u] < low[t]:
-                        low[t] = low[u]
+                if low[u] == index[u]:  # the first completed SCC
+                    bottoms.append(sorted(order[index[u] :] + [r]))
+                    break
+                t = calls[-1][0]
+                if low[u] < low[t]:
+                    low[t] = low[u]
     return bottoms
 
 

@@ -21,7 +21,13 @@ from typing import Iterable
 from .errors import EmptyCoreError, GraphInputError, InternalInvariantError
 from .game import Allocation, CoreStatus, core_nonempty
 from .multigraph import EdgeId, Multigraph
-from .prime import AncestorPoset, PrimePartition, _ancestor_order, prime_partition
+from .prime import (
+    AncestorPoset,
+    PrimePartition,
+    _ancestor_order,
+    _check_partition,
+    prime_partition,
+)
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,7 @@ def is_tight_tree(
 
     Such trees have weight exactly 1 under every core allocation.
     """
+    _check_partition(g, pp)
     tset = set(t)
     unknown = tset - set(g.edge_ids)
     if unknown:

@@ -90,9 +90,9 @@ def prime_partition(g: Multigraph, af: Fraction | None = None) -> PrimePartition
                 raise InternalInvariantError("no subgraph attains the given af")
             break
         level_edges: set[EdgeId] = set()
-        for mds in found:
-            edges = current.induced_by_vertices(mds).edge_ids
-            collected.append((edges, level, len(mds)))
+        for sub in found:
+            edges = sub.edge_ids
+            collected.append((edges, level, sub.num_vertices()))
             level_edges |= edges
         # contracting the last minor gives the same graph as contracting g
         # by every set so far: images are minimum original ids either way
@@ -219,6 +219,7 @@ def decompose_densest_subgraph(
 
     Verifies the vertex-count identity n(H) = sum(n_p - 1) + 1.
     """
+    _check_partition(g, pp)
     sub = g.induced_by_vertices(h)
     if not sub.is_connected() or sub.num_vertices() < 2:
         raise GraphInputError("h does not induce a connected subgraph")

@@ -390,11 +390,11 @@ def _walk_cases():
 
 def test_bottoms_read_the_residual_graph_on_vertices(monkeypatch):
     # after every root trial of minimal_densest that is not short: no flow
-    # enters the root, the vertex-level sink flags are the vertices that reach
-    # the sink on the whole network, and each set _bottoms returns is what its
-    # smallest vertex other than the root reaches there
+    # enters the root, and _bottoms returns exactly the inclusion-minimal
+    # sets that a live vertex other than the root reaches on the whole
+    # network, over the vertices that do not reach the sink
     bottoms = kernels._bottoms
-    counts = {"roots": 0, "sets": 0}
+    counts = {"roots": 0, "sets": 0, "several": 0}
 
     def checked(walk, r):
         adj, arc_to, cap, n = walk.adj, walk.arc_to, walk.cap, walk.n
@@ -402,23 +402,28 @@ def test_bottoms_read_the_residual_graph_on_vertices(monkeypatch):
             if r in (u, v):
                 assert cap[6 * i + (2 if u == r else 4) + 1] == 0
         into_sink = kernels._reach(adj, arc_to, cap, walk.sink, False)
-        flags = kernels._sink_side(walk)
-        assert [v for v in range(n) if flags[v]] == sorted(x for x in into_sink if x < n)
+        reaches = {
+            frozenset(x for x in kernels._reach(adj, arc_to, cap, w, True) if x < n)
+            for w in range(n)
+            if w != r and walk.alive[w] and w not in into_sink
+        }
+        minimal = sorted(sorted(d) for d in reaches if not any(e < d for e in reaches))
         result = bottoms(walk, r)
-        for dense in result:
-            rest = [x for x in dense if x != r]
-            assert rest
-            reach = kernels._reach(adj, arc_to, cap, rest[0], True)
-            assert dense == sorted(x for x in reach if x < n)
+        assert sorted(result) == minimal
         counts["roots"] += 1
         counts["sets"] += len(result)
+        counts["several"] += len(result) > 1
         return result
 
     cases = _walk_cases()
+    for seed in range(30):
+        g = _k4_blocks(random.Random(seed))
+        _, us, vs = _compact(g)
+        cases.append((g.num_vertices(), us, vs, fractional_arboricity(g).value))
     monkeypatch.setattr(kernels, "_bottoms", checked)
     for n, us, vs, lam in cases:
         kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
-    assert counts["roots"] > 1000 and counts["sets"] > 800, counts
+    assert counts["roots"] > 1000 and counts["sets"] > 800 and counts["several"] > 100, counts
 
 
 def test_source_lists_every_open_source_arc(monkeypatch):

@@ -206,6 +206,14 @@ def test_is_tight_tree_bridge_graph():
         assert not is_tight_tree(g, pp, t2)
 
 
+def test_is_tight_tree_rejects_a_partition_of_another_graph():
+    # t is a spanning tree of g, but pp's prime sets cover only g's first K4
+    pp = prime_partition(k4())
+    g = two_k4_bridge()
+    with pytest.raises(GraphInputError):
+        is_tight_tree(g, pp, {0, 1, 2, 6, 7, 8, 12})
+
+
 def test_is_tight_tree_on_tree_graph():
     g = path(3)
     pp = prime_partition(g)

@@ -191,6 +191,16 @@ def test_decompose_two_k4_bridge_whole():
     assert sorted(got) == [0, 1, 2]
 
 
+def test_decompose_rejects_a_partition_of_another_graph():
+    # the K4's one prime set, edge ids 0-5, is also the bridge graph's first
+    # K4: unchecked, h = {4..7} met no prime set and h = {0..3} gave [0]
+    pp = prime_partition(k4())
+    g = two_k4_bridge()
+    for h in ({4, 5, 6, 7}, {0, 1, 2, 3}):
+        with pytest.raises(GraphInputError):
+            decompose_densest_subgraph(pp, frozenset(h), g)
+
+
 def test_decompose_rejects_non_densest():
     g = two_k4_bridge()
     pp = prime_partition(g)
