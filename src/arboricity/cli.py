@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Graphs are read from UTF-8 text files (a leading byte-order mark is
-accepted) with one edge per line ("u v", nonnegative integer vertex labels;
-repeated lines create parallel edges; blank lines and lines starting with
-'#' are ignored).  EdgeIds are assigned
+accepted) with one edge per line ("u v", nonnegative integer vertex labels
+in ASCII digits; repeated lines create parallel edges; blank lines and
+lines starting with '#' are ignored).  EdgeIds are assigned
 in line order starting at 0, and all output refers to edges by that index.
 
 Results are emitted as JSON with stable key order; every rational is a
@@ -60,16 +60,14 @@ def parse_graph_file(path: str) -> Multigraph:
         parts = stripped.split()
         if len(parts) != 2:
             raise GraphInputError(f"{path}:{lineno}: expected two vertex labels")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphInputError(
-                f"{path}:{lineno}: vertex labels must be integers"
-            ) from None
-        if u < 0 or v < 0:
-            raise GraphInputError(
-                f"{path}:{lineno}: vertex labels must be nonnegative"
-            )
+        # ASCII digits only: int() would also read "1_0", "+2" and other
+        # scripts' digits
+        digits = [label.removeprefix("-") for label in parts]
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            raise GraphInputError(f"{path}:{lineno}: vertex labels must be integers")
+        if digits != parts:
+            raise GraphInputError(f"{path}:{lineno}: vertex labels must be nonnegative")
+        u, v = int(parts[0]), int(parts[1])
         if u == v:
             raise GraphInputError(f"{path}:{lineno}: self-loop {u} {v}")
         pairs.append((u, v))

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
-from .multigraph import Multigraph, VertexId
+from .multigraph import EdgeId, Multigraph, VertexId
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,22 @@ def _enumerate_mds(g: Multigraph, lam: Fraction) -> list[Multigraph]:
     raw = kernels.minimal_densest(len(verts), us, vs, lam.numerator, lam.denominator)
     if raw is None:
         raise InternalInvariantError("a subgraph is denser than the given af")
-    found = [g.induced_by_vertices(verts[i] for i in mds) for mds in raw]
+    # each set's induced edges in one pass over the level's edges; distinct
+    # minimal densest sets share at most one vertex, so the intersection
+    # below names at most one set
+    member: dict[VertexId, set[int]] = {}
+    for k, mds in enumerate(raw):
+        for i in mds:
+            member.setdefault(verts[i], set()).add(k)
+    inside: list[dict[EdgeId, tuple[VertexId, VertexId]]] = [{} for _ in raw]
+    for eid, (a, b) in g.edges.items():
+        if a in member and b in member:
+            for k in member[a] & member[b]:
+                inside[k][eid] = (a, b)
+    found = [
+        Multigraph(edges, vertices=(verts[i] for i in mds))
+        for edges, mds in zip(inside, raw)
+    ]
     for sub in found:
         if not sub.is_connected() or density(sub) != lam:
             raise InternalInvariantError("minimal densest subgraph extraction failed")

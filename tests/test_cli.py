@@ -85,6 +85,15 @@ def test_parse_errors(tmp_path, capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("line", ["0 1_0", "+2 1", "0 \u0661", "\uff11 0", "0 \u00b2"])
+def test_labels_are_ascii_digits(tmp_path, capsys, line):
+    # int() reads these as 10, 2, 1, 1 and fails on the superscript; each
+    # must be refused with one message
+    code, out, err = run(capsys, "af", write(tmp_path, "bad.txt", f"0 2\n{line}\n1 2\n"))
+    assert (code, out) == (2, "")
+    assert err.endswith("bad.txt:2: vertex labels must be integers\n")
+
+
 def test_byte_order_mark_is_accepted(tmp_path, capsys):
     bom = tmp_path / "bom.txt"
     bom.write_bytes(b"\xef\xbb\xbf" + TRIANGLE.encode())

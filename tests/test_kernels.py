@@ -59,47 +59,214 @@ def test_long_augmenting_paths(tmp_path):
     assert json.loads(out.read_text())["af"] == f"{2 * n}/{n - 1}"
 
 
-def _assert_min_cut_certificate(num_nodes, adj, arc_to, cap, source, sink):
-    # after _dinic the source's residual reach excludes the sink, and the
-    # original capacity leaving that reach equals the flow: a max flow and a
-    # min cut of equal value
-    original = list(cap)
-    flow = kernels._dinic(num_nodes, adj, arc_to, cap, source, sink)
-    reach = kernels._reach(adj, arc_to, cap, source, True)
-    assert sink not in reach
-    leaving = sum(
-        original[a] for a in range(len(arc_to))
-        if arc_to[a ^ 1] in reach and arc_to[a] not in reach
-    )
-    assert leaving == flow
+# the reference: a generic Dinic and residual search on the explicit
+# edge-node network, whose flow the kernel stores per edge and per vertex;
+# ``_cold_trial`` builds that network from zero flow, and ``_network``
+# rebuilds it from a walk's state
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_dinic_returns_a_max_flow_on_random_networks(seed):
-    rng = random.Random(seed)
-    num_nodes = rng.randint(2, 40)
-    adj = [[] for _ in range(num_nodes)]
+def _dinic(
+    num_nodes: int,
+    adj: list[list[int]],
+    arc_to: list[int],
+    arc_cap: list[int],
+    source: int,
+    sink: int,
+) -> int:
+    """Max flow; ``arc_cap`` holds residual capacities and is mutated.
+
+    Each phase first drops from ``adj[source]`` the arcs with no residual
+    capacity.  No augmenting path re-enters the source, so a source arc's
+    capacity only falls within one call and a dropped arc stays unusable;
+    the last phase augments nothing, so on return ``adj[source]`` lists
+    exactly the open source arcs, in their old order.
+
+    Each phase's breadth-first search stops once the sink has its level: every
+    node one layer before the sink is labelled by then, so the phase's
+    shortest augmenting paths, and the blocking flow along them, are those of
+    the whole level graph.  Each phase allocates its ``level`` and ``it``
+    arrays afresh, which costs O(n) at C speed instead of a Python loop, and
+    a node's scan of its arcs keeps its position and target level in locals
+    and stores ``it[u]`` once per scan."""
+    flow = 0
+
+    while True:
+        adj[source] = [a for a in adj[source] if arc_cap[a] > 0]
+        level = [-1] * num_nodes
+        level[source] = 0
+        queue = deque([source])
+        while queue and level[sink] < 0:
+            u = queue.popleft()
+            d = level[u] + 1
+            for a in adj[u]:
+                if arc_cap[a] > 0:
+                    v = arc_to[a]
+                    if level[v] < 0:
+                        level[v] = d
+                        queue.append(v)
+        if level[sink] < 0:
+            return flow
+        it = [0] * num_nodes
+
+        # walk augmenting paths of the level graph with an explicit stack of
+        # arcs: advance along the current arc of u, or retreat from a dead end
+        # and move on to the next arc of its predecessor
+        while True:
+            path: list[int] = []
+            u = source
+            while u != sink:
+                arcs, i, want = adj[u], it[u], level[u] + 1
+                end = len(arcs)
+                while i < end:
+                    a = arcs[i]
+                    if arc_cap[a] > 0 and level[arc_to[a]] == want:
+                        break
+                    i += 1
+                it[u] = i
+                if i < end:
+                    path.append(a)
+                    u = arc_to[a]
+                else:
+                    if not path:
+                        break
+                    u = arc_to[path.pop() ^ 1]
+                    it[u] += 1
+            if u != sink:
+                break
+            pushed = min(arc_cap[a] for a in path)
+            for a in path:
+                arc_cap[a] -= pushed
+                arc_cap[a ^ 1] += pushed
+            flow += pushed
+
+
+def _reach(
+    adj: list[list[int]], arc_to: list[int], arc_cap: list[int], start: int, forward: bool
+) -> set[int]:
+    """Nodes reachable from ``start`` in the residual graph (reaching it if not
+    ``forward``)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for a in adj[u]:
+            v = arc_to[a]
+            if v not in seen and arc_cap[a if forward else a ^ 1] > 0:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _network(walk):
+    """The explicit residual network of the walk's flow, as
+    (num_nodes, adj, arc_to, cap, source, sink) for ``_dinic`` and ``_reach``.
+
+    Edge i is node n + i with arcs source->e, e->ends[2i] and e->ends[2i + 1]
+    at 6i, 6i + 2 and 6i + 4; vertex v is node v with its sink arc at
+    6m + 2v.  Arc a ^ 1 is a's reverse, and its residual capacity is the flow
+    on a.  A dead edge or vertex has all its arcs at 0, and so does the
+    root's sink arc, which has no spare and no flow into it."""
+    n, ends, sent, room, alive = walk.n, walk.ends, walk.sent, walk.room, walk.alive
+    m = len(room)
+    source, sink = n + m, n + m + 1
+    adj = [[] for _ in range(n + m + 2)]
     arc_to, cap = [], []
-    for _ in range(rng.randint(0, 4 * num_nodes)):
-        a, b = rng.sample(range(num_nodes), 2)
-        for x, y, c in ((a, b, rng.randint(0, 9)), (b, a, 0)):
+
+    def arc(a, b, residual, flow):
+        for x, y, c in ((a, b, residual), (b, a, flow)):
             adj[x].append(len(arc_to))
             arc_to.append(y)
             cap.append(c)
-    _assert_min_cut_certificate(num_nodes, adj, arc_to, cap, 0, num_nodes - 1)
+
+    into = [0] * n
+    for i in range(m):
+        live = alive[ends[2 * i]] and alive[ends[2 * i + 1]]
+        arc(source, n + i, room[i], sent[2 * i] + sent[2 * i + 1])
+        for s in (2 * i, 2 * i + 1):
+            arc(n + i, ends[s], walk.q - sent[s] if live else 0, sent[s])
+            into[ends[s]] += sent[s]
+    for v in range(n):
+        arc(v, sink, walk.spare[v], into[v])
+    assert min(cap) >= 0
+    return n + m + 2, adj, arc_to, cap, source, sink
+
+
+def _assert_max_flow(walk):
+    # after a trial the source's residual reach excludes the sink, and the
+    # original capacity leaving that reach equals the flow: a max flow and a
+    # min cut of equal value; the kernel labels that same source side
+    _, adj, arc_to, cap, source, sink = _network(walk)
+    reach = _reach(adj, arc_to, cap, source, True)
+    assert sink not in reach
+    leaving = sum(
+        cap[a] + cap[a + 1] for a in range(0, len(arc_to), 2)
+        if arc_to[a + 1] in reach and arc_to[a] not in reach
+    )
+    assert leaving == walk.flow == sum(cap[a + 1] for a in adj[source])
+    assert {x for x in range(walk.n) if walk.level[x] >= 0} == {x for x in reach if x < walk.n}
+
+
+def _check_trials(monkeypatch, cases, check):
+    """Run ``sweep`` and ``minimal_densest`` on each (n, us, vs, threshold)
+    case, calling ``check(walk, short, root, threshold)`` after every trial
+    (root -1: no root)."""
+    roots = {}
+    free, trial = kernels._Walk.free, kernels._trial
+
+    def recording_free(walk, r):
+        roots[walk] = r
+        free(walk, r)
+
+    lam = None  # the threshold of the current call
+
+    def checked(walk):
+        short = trial(walk)
+        check(walk, short, roots.get(walk, -1), lam)
+        return short
+
+    monkeypatch.setattr(kernels._Walk, "free", recording_free)
+    monkeypatch.setattr(kernels, "_trial", checked)
+    for n, us, vs, lam in cases:
+        kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
+        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dinic_returns_a_max_flow_on_random_networks(seed, monkeypatch):
+    # a seeded multigraph at its af and at a random threshold, from about a
+    # quarter to four times its density m/(n - 1): every trial of the four
+    # walks, cold or warm, short or not, must leave a max flow
+    rng = random.Random(seed)
+    m = rng.randint(1, 60)
+    g = _random_multigraph(rng, rng.randint(2, min(m + 1, 30)), m)
+    _, us, vs = _compact(g)
+    n = g.num_vertices()
+    lam = Fraction(rng.randint(max(1, m // 2), 2 * m), rng.randint(max(1, n // 2), 2 * n))
+    trials = []
+
+    def check(walk, short, root, lam):
+        _assert_max_flow(walk)
+        trials.append(short)
+
+    af = fractional_arboricity(g).value
+    _check_trials(monkeypatch, [(n, us, vs, af), (n, us, vs, lam)], check)
+    assert trials
 
 
 @pytest.mark.parametrize("p, q", [(800, 399), (799, 399), (1, 1), (3, 1)])
 def test_dinic_returns_a_max_flow_on_long_augmenting_paths(p, q):
-    # the network of test_long_augmenting_paths on a shorter doubled cycle,
-    # at its af = 2n/(n - 1), just below it, and far on either side
+    # the graph of test_long_augmenting_paths on a shorter doubled cycle, at
+    # its af = 2n/(n - 1), just below it, and far on either side: a trial
+    # with no root, then one with root 0
     n = 400
     us = list(range(n)) * 2
     vs = [(i + 1) % n for i in range(n)] * 2
     walk = kernels._Walk(n, us, vs, p, q, lambda d: True)
-    _assert_min_cut_certificate(
-        walk.num_nodes, walk.adj, walk.arc_to, walk.cap, walk.source, walk.sink
-    )
+    for r in walk.roots(-1):
+        kernels._trial(walk)
+        _assert_max_flow(walk)
+        if r == 0:
+            break
 
 
 def _warm_sides(walk):
@@ -108,13 +275,13 @@ def _warm_sides(walk):
     that holds vertex v there, or None when no min cut does.  Read on the
     whole network, as ``_cold_trial`` reads a fresh one: one backward search
     from the sink, then a forward search per call."""
-    adj, arc_to, cap = walk.adj, walk.arc_to, walk.cap
-    into_sink = kernels._reach(adj, arc_to, cap, walk.sink, False)
+    _, adj, arc_to, cap, source, sink = _network(walk)
+    into_sink = _reach(adj, arc_to, cap, sink, False)
 
     def side(v):
         if v >= 0 and v in into_sink:
             return None
-        seen = kernels._reach(adj, arc_to, cap, v if v >= 0 else walk.source, True)
+        seen = _reach(adj, arc_to, cap, v if v >= 0 else source, True)
         return sorted(x for x in seen if x < walk.n)
 
     return side
@@ -320,13 +487,13 @@ def _cold_trial(n, us, vs, alive, p, q, root):
         arc(e, node[vs[i]], q)
     for v in verts:
         arc(node[v], sink, 0 if v == root else p)
-    flow = kernels._dinic(sink + 1, adj, arc_to, cap, 0, sink)
-    into_sink = kernels._reach(adj, arc_to, cap, sink, False)
+    flow = _dinic(sink + 1, adj, arc_to, cap, 0, sink)
+    into_sink = _reach(adj, arc_to, cap, sink, False)
 
     def side(v):
         if v >= 0 and node[v] in into_sink:
             return None
-        seen = kernels._reach(adj, arc_to, cap, node[v] if v >= 0 else 0, True)
+        seen = _reach(adj, arc_to, cap, node[v] if v >= 0 else 0, True)
         return sorted(verts[x - 1] for x in seen if 0 < x <= len(verts))
 
     return flow, side
@@ -335,40 +502,59 @@ def _cold_trial(n, us, vs, alive, p, q, root):
 def test_carried_flow_matches_a_cold_flow(monkeypatch):
     # every trial of a walk re-augments the flow left by the previous root;
     # its value and its min-cut sides must be those of a fresh network
-    roots = {}
-    free, trial = kernels._Walk.free, kernels._trial
-
-    def recording_free(walk, r):
-        roots[walk] = r
-        free(walk, r)
-
     trials = []
-    lam = None  # the threshold of the current call
 
-    def checked(walk):
-        short = trial(walk)
+    def check(walk, short, root, lam):
         side = _warm_sides(walk)
-        root = roots.get(walk, -1)
         p, q = lam.numerator, lam.denominator
-        flow, cold_side = _cold_trial(walk.n, walk.us, walk.vs, walk.alive, p, q, root)
+        us, vs = walk.ends[0::2], walk.ends[1::2]
+        flow, cold_side = _cold_trial(walk.n, us, vs, walk.alive, p, q, root)
         assert walk.flow == flow
         live = [v for v in range(walk.n) if walk.alive[v]]
-        assert walk.live == sum(walk.alive[u] and walk.alive[v] for u, v in zip(walk.us, walk.vs))
+        assert walk.live == sum(walk.alive[u] and walk.alive[v] for u, v in zip(us, vs))
         assert short == (flow < q * walk.live)
         for v in [-1, *live]:
             assert side(v) == cold_side(v)
         trials.append(walk)
-        return short
 
-    cases = _walk_cases()
-    monkeypatch.setattr(kernels._Walk, "free", recording_free)
-    monkeypatch.setattr(kernels, "_trial", checked)
-    for n, us, vs, lam in cases:
-        kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
-        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
+    _check_trials(monkeypatch, _walk_cases(), check)
     # most trials start from the flow left by an earlier trial of their walk
     warm = len(trials) - len(set(trials))
     assert warm > 1500
+
+
+def test_flow_is_conserved_on_every_slot(monkeypatch):
+    # after every trial: each live edge splits q units between its two slots
+    # and its room, each live vertex but the root drains what its slots send
+    # it and has the rest of p to spare, and dead edges and vertices, and
+    # the root, hold nothing; the walk's flow is what the source sends
+    counts = {"trials": 0, "deleted": 0}
+
+    def check(walk, short, root, lam):
+        p, q = lam.numerator, lam.denominator
+        ends, sent, room, spare, alive = walk.ends, walk.sent, walk.room, walk.spare, walk.alive
+        into = [0] * walk.n
+        total = 0
+        for i in range(len(room)):
+            slots = (sent[2 * i], sent[2 * i + 1])
+            if alive[ends[2 * i]] and alive[ends[2 * i + 1]]:
+                assert min(*slots, room[i]) >= 0 and sum(slots) + room[i] == q
+                total += sum(slots)
+            else:
+                assert slots == (0, 0) and room[i] == 0
+            into[ends[2 * i]] += slots[0]
+            into[ends[2 * i + 1]] += slots[1]
+        for v in range(walk.n):
+            if v == root or not alive[v]:
+                assert spare[v] == into[v] == 0
+            else:
+                assert spare[v] >= 0 and spare[v] + into[v] == p
+        assert walk.flow == total
+        counts["trials"] += 1
+        counts["deleted"] += not all(alive)
+
+    _check_trials(monkeypatch, _walk_cases(), check)
+    assert counts["trials"] > 4000 and counts["deleted"] > 2000, counts
 
 
 def _walk_cases():
@@ -397,13 +583,12 @@ def test_bottoms_read_the_residual_graph_on_vertices(monkeypatch):
     counts = {"roots": 0, "sets": 0, "several": 0}
 
     def checked(walk, r):
-        adj, arc_to, cap, n = walk.adj, walk.arc_to, walk.cap, walk.n
-        for i, (u, v) in enumerate(zip(walk.us, walk.vs)):
-            if r in (u, v):
-                assert cap[6 * i + (2 if u == r else 4) + 1] == 0
-        into_sink = kernels._reach(adj, arc_to, cap, walk.sink, False)
+        assert all(walk.sent[s] == 0 for s in walk.nbrs[r])
+        n = walk.n
+        _, adj, arc_to, cap, _, sink = _network(walk)
+        into_sink = _reach(adj, arc_to, cap, sink, False)
         reaches = {
-            frozenset(x for x in kernels._reach(adj, arc_to, cap, w, True) if x < n)
+            frozenset(x for x in _reach(adj, arc_to, cap, w, True) if x < n)
             for w in range(n)
             if w != r and walk.alive[w] and w not in into_sink
         }
@@ -427,26 +612,18 @@ def test_bottoms_read_the_residual_graph_on_vertices(monkeypatch):
 
 
 def test_source_lists_every_open_source_arc(monkeypatch):
-    # the source's arc list may skip only saturated or deleted source arcs:
-    # _dinic drops those at each phase, and free lists an arc again when it
-    # reopens it
-    trial = kernels._trial
+    # the walk's open list may skip only full or deleted edges: _dinic drops
+    # those at each phase, and free lists an edge again when it reopens it
     checked = []
 
-    def listed(walk):
-        result = trial(walk)
-        arcs = walk.adj[walk.source]
-        assert len(arcs) == len(set(arcs))
-        assert all(a % 6 == 0 and a < 6 * len(walk.us) for a in arcs)
-        assert {6 * i for i in range(len(walk.us)) if walk.cap[6 * i] > 0} <= set(arcs)
-        checked.append(len(arcs) < len(walk.us))
-        return result
+    def check(walk, short, root, lam):
+        listed, m = walk.open, len(walk.room)
+        assert len(listed) == len(set(listed))
+        assert all(0 <= i < m for i in listed)
+        assert {i for i in range(m) if walk.room[i] > 0} <= set(listed)
+        checked.append(len(listed) < m)
 
-    cases = _walk_cases()
-    monkeypatch.setattr(kernels, "_trial", listed)
-    for n, us, vs, lam in cases:
-        kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
-        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
+    _check_trials(monkeypatch, _walk_cases(), check)
     assert len(checked) > 4000 and sum(checked) > len(checked) // 2  # most lists shrank
 
 
