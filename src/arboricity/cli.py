@@ -83,6 +83,10 @@ def parse_allocation_file(path: str, num_edges: int) -> dict[int, Fraction]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
+            # ASCII without "_": Fraction() would also read "0_1" and other
+            # scripts' digits
+            if not stripped.isascii() or "_" in stripped:
+                raise ValueError(stripped)
             values.append(Fraction(stripped))
         except (ValueError, ZeroDivisionError):
             raise GraphInputError(

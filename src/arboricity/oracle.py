@@ -6,11 +6,31 @@ all coalitions, and the nucleolus is obtained by the classical scheme of
 recursively solved linear programs over the full coalition lattice.  These
 are the reference answers the fast algorithms are tested against.
 
+Coalition costs come from ``gamma_table``, an int dynamic program over the
+subset lattice that finds each coalition's vertex set and connectivity with
+bit masks.
+
 The scheme maximizes, round by round, the minimum excess over coalitions not
 yet fixed, then restricts to the optimal face.  Faces are carried as exact
 H-representations; which coalitions a face fixes is decided exactly by
-computing the face's affine hull (direction by direction, two LPs each) and
-testing each coalition's indicator against the hull directions.  Constraints
+computing the face's affine hull and testing each coalition's indicator
+against the hull directions.  The hull search starts from rows already known
+to be constant on the new face:
+
+- the face's equality rows;
+- the indicators of coalitions fixed in earlier rounds, which are constant
+  on the earlier faces and so on this one, which lies inside them;
+- the x-part of every row of the round LP with a positive dual price.  By
+  complementary slackness such a row is tight at every optimum of the round
+  LP, and the new face is exactly the set of optima, so the row is constant
+  on it.
+
+The round LP's optimal point lies on the new face and serves as its base
+point x0.  Each direction d orthogonal to the rows and directions found so
+far then costs one LP, max d.x, whenever that exceeds d.x0, which makes
+x_hi - x0 a hull direction; only otherwise does a second LP, min d.x, tell a
+direction from a constant row.  The face, every epsilon and every fixed
+coalition are unique, so none depends on the directions tried.  Constraints
 implied by monotonicity of the cost function (a superset with the same cost)
 are omitted from the LPs; they cannot change the feasible set.
 """
@@ -119,26 +139,42 @@ def gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> list[int]:
     """gamma(S) for every edge-subset bitmask, in sorted-EdgeId bit order.
 
     gamma(S) is the ceiling of the maximum density over connected subsets of
-    S, computed by dynamic programming over the subset lattice.
+    S.  The ceiling is monotone, so gamma(S) is the largest of gamma(S - e)
+    over e in S and, when S is connected, ceil(|S| / (n(S) - 1)): a dynamic
+    program over the subset lattice in ints.  Vertex sets are bit masks, and
+    S is connected when some e in S touches a connected S - e (remove an
+    edge on a cycle, or a pendant edge of a spanning tree).
     """
     m = g.num_edges()
     if m > edge_cap:
         raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
     _, ends = _edge_ends(g)
-    best: list[Fraction] = [ZERO] * (1 << m)
-    table = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        b = ZERO
-        for i in range(m):
-            if mask >> i & 1:
-                prev = best[mask & ~(1 << i)]
-                if prev > b:
-                    b = prev
-        d = _subset_density(ends, mask)
-        if d is not None and d > b:
-            b = d
-        best[mask] = b
-        table[mask] = math.ceil(b)
+    touch = {1 << i: 1 << u | 1 << v for i, (u, v) in enumerate(ends)}
+    size = 1 << m
+    table = [0] * size
+    verts = [0] * size
+    connected = [False] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        verts[mask] = verts[rest] | touch[low]
+        conn = not rest
+        best = 0
+        bits = mask
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            sub = mask ^ bit
+            if table[sub] > best:
+                best = table[sub]
+            if not conn and connected[sub] and touch[bit] & verts[sub]:
+                conn = True
+        if conn:
+            connected[mask] = True
+            ceil = -(-mask.bit_count() // (verts[mask].bit_count() - 1))
+            if ceil > best:
+                best = ceil
+        table[mask] = best
     return table
 
 
@@ -254,8 +290,14 @@ class _Face:
 
     def epsilon_lp(
         self, masks: list[int], table: list[int]
-    ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """max eps s.t. x in face and x(S) + eps <= gamma(S) for S in masks."""
+    ) -> tuple[Fraction, tuple[Fraction, ...], list[tuple[int, ...]]]:
+        """max eps s.t. x in face and x(S) + eps <= gamma(S) for S in masks.
+
+        Returns eps, the x-part of an optimal point, and the x-parts of the
+        rows whose dual price is positive.  By complementary slackness such a
+        row is tight at every optimum, so its x-part is constant on the face
+        that the optimal eps cuts out.
+        """
         m = self.m
         rows = []
         for row, b in self.eq_rows:
@@ -269,65 +311,94 @@ class _Face:
         res = simplex_solve(lp)
         if res.status != "optimal":
             raise InternalInvariantError(f"round LP is {res.status}")
-        assert res.value is not None and res.point is not None
-        return res.value, res.point[:m]
+        assert res.value is not None and res.point is not None and res.prices is not None
+        point = res.point
+        tight = []
+        for (row, _, b), price in zip(rows, res.prices):
+            if price > 0:
+                if _dot(row, point) != b:
+                    raise InternalInvariantError("a row with a positive price is slack")
+                tight.append(row[:m])
+        return res.value, point[:m], tight
+
+
+def _dot(row: Sequence[Fraction | int], x: Sequence[Fraction]) -> Fraction:
+    return sum([a * v for a, v in zip(row, x) if a], ZERO)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
 
 
 def _nullspace_direction(
-    rows: list[tuple[Fraction, ...]], m: int
+    rows: list[tuple[Fraction | int, ...]], m: int
 ) -> tuple[Fraction, ...] | None:
-    """A deterministic nonzero vector orthogonal to all rows, or None."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(m):
-        sel = -1
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                sel = i
-                break
-        if sel < 0:
+    """A deterministic nonzero vector orthogonal to all rows, or None.
+
+    The vector comes from the reduced row echelon form, which depends on the
+    row space alone: 1 at the first free column c, and minus column c's
+    entry of each pivot row at that row's pivot.  Distinct rows are scaled
+    to integers and added one at a time, fraction-free: a new row is cleared
+    at the pivot columns, and its own pivot is cleared from the pivot rows.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, integer row)
+    for r in dict.fromkeys(rows):
+        k = math.lcm(*[a.denominator for a in r])
+        row = [a.numerator * (k // a.denominator) for a in r]
+        for pc, prow in basis:
+            f = row[pc]
+            if f:
+                p = prow[pc]
+                row = [p * a - f * b for a, b in zip(row, prow)]
+        col = next((j for j, a in enumerate(row) if a), -1)
+        if col < 0:
             continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [a * inv for a in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(m) if c not in pivots]
-    if not free:
-        return None
-    c = free[0]
+        row = _primitive(row)
+        p = row[col]
+        for i, (pc, prow) in enumerate(basis):
+            f = prow[col]
+            if f:
+                basis[i] = (pc, _primitive([p * a - f * b for a, b in zip(prow, row)]))
+        basis.append((col, row))
+        if len(basis) == m:
+            return None
+    pivots = dict(basis)
+    c = next(j for j in range(m) if j not in pivots)
     d = [ZERO] * m
     d[c] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        d[pc] = -mat[i][c]
+    for pc, prow in pivots.items():
+        d[pc] = Fraction(-prow[c], prow[pc])
     return tuple(d)
 
 
 def _affine_hull(
-    face: _Face,
-) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
-    """A point of the face plus directions spanning its affine hull."""
-    m = face.m
-    _, x0 = face.optimize([ZERO] * m)
+    face: _Face, x0: Sequence[Fraction], fixed: list[tuple[Fraction | int, ...]]
+) -> list[tuple[Fraction, ...]]:
+    """Directions spanning the affine hull of the face, which holds x0.
+
+    ``fixed`` holds rows known to be constant on the face.  Each direction d
+    orthogonal to the directions and rows found so far costs one LP, max
+    d.x, when that exceeds d.x0: then x_hi - x0 is a hull direction.  Only
+    when it does not does a second LP, min d.x, tell a hull direction from a
+    constant row.
+    """
     span: list[tuple[Fraction, ...]] = []  # hull directions found so far
-    fixed: list[tuple[Fraction, ...]] = []  # directions with constant x.d
+    fixed = list(fixed)
     while True:
-        d = _nullspace_direction(span + fixed, m)
+        d = _nullspace_direction(span + fixed, face.m)
         if d is None:
-            return x0, span
+            return span
+        at_x0 = _dot(d, x0)
         hi, x_hi = face.optimize(d)
+        if hi != at_x0:
+            span.append(tuple([a - b for a, b in zip(x_hi, x0)]))
+            continue
         lo_neg, x_lo = face.optimize([-a for a in d])
-        if hi + lo_neg == 0:  # max d.x == min d.x
+        if lo_neg + at_x0 == 0:  # max d.x == min d.x
             fixed.append(d)
         else:
-            span.append(
-                tuple([a - b for a, b in zip(x_hi, x_lo)])
-            )
+            span.append(tuple([a - b for a, b in zip(x_lo, x0)]))
 
 
 def maschler_nucleolus(
@@ -354,24 +425,30 @@ def maschler_nucleolus(
     face = _Face(m, table[full])
     active = list(range(1, full))
     pruned = _prune_round_one(table, m)
+    # indicators of the coalitions fixed in earlier rounds: constant on the
+    # earlier faces, hence on every later one
+    fixed_before: list[tuple[int, ...]] = []
     epsilons: list[Fraction] = []  # one per round; they never decrease
     while True:
         if len(epsilons) > m + 2:
             raise InternalInvariantError("scheme failed to terminate")
-        eps, _ = face.epsilon_lp(pruned, table)
+        eps, x0, tight = face.epsilon_lp(pruned, table)
         if not epsilons and eps < 0:
             raise EmptyCoreError(f"core empty: least core epsilon = {eps}")
         if epsilons and eps < epsilons[-1]:
             raise InternalInvariantError("epsilon decreased between rounds")
         for mask in pruned:
             face.add_coalition_bound(mask, Fraction(table[mask]) - eps)
-        x0, span = _affine_hull(face)
+        seed = [row for row, _ in face.eq_rows] + fixed_before + tight
+        span = _affine_hull(face, x0, seed)
         if not span:
             return {order[j]: x0[j] for j in range(m)}
         still = []
         for mask in active:
             if any(_coalition_sum(d, mask) != 0 for d in span):
                 still.append(mask)
+            else:
+                fixed_before.append(_indicator(mask, m))
         if len(still) == len(active):
             raise InternalInvariantError("no coalition became fixed")
         epsilons.append(eps)

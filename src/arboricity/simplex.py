@@ -12,7 +12,9 @@ The game oracle produces LPs with few variables and many constraints, so
 ``simplex_solve`` transparently solves the dual in that regime and recovers
 the primal point from the dual's shadow prices; both routes give identical
 answers and the direct route remains the fallback whenever the dual route is
-inconclusive.
+inconclusive.  Every optimum also carries an optimal dual point, one price
+per row: the direct route reads it from the final tableau, the dual route
+takes the dual's own point.
 """
 
 from __future__ import annotations
@@ -88,6 +90,9 @@ class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
     point: tuple[Fraction, ...] | None
+    # an optimal dual point, one price per row: >= 0 on ``<=`` rows, and
+    # rhs . prices == value; None unless the status is optimal
+    prices: tuple[Fraction, ...] | None = None
 
 
 class _Tableau:
@@ -351,11 +356,11 @@ def _solve_via_dual(lp: LinearProgram) -> SimplexResult | None:
     primal from an infeasible one, hence the None.
     """
     dual = _dual_of(lp)
-    status, value, _point, prices = _solve_direct(dual)
+    status, value, y, prices = _solve_direct(dual)
     if status == "optimal":
         assert prices is not None and value is not None
         x = tuple([p if lp.nonneg[j] else -p for j, p in enumerate(prices)])
-        return SimplexResult("optimal", -value, x)
+        return SimplexResult("optimal", -value, x, y)
     if status == "unbounded":
         return SimplexResult("infeasible", None, None)
     return None
@@ -371,5 +376,4 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         res = _solve_via_dual(lp)
         if res is not None:
             return res
-    status, value, point, _ = _solve_direct(lp)
-    return SimplexResult(status, value, point)
+    return SimplexResult(*_solve_direct(lp))

@@ -215,6 +215,26 @@ def test_core_check_tree_uniform(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "member"
 
 
+@pytest.mark.parametrize("value", ["\u0661/\u0662", "1/\u0662", "0_1", "\uff11"])
+def test_allocation_values_are_ascii(tmp_path, capsys, value):
+    # Fraction() reads these as 1/2, 1/2, 1 and 1; each must be refused
+    # with one message
+    g = write(tmp_path, "p2.txt", "0 1\n1 2\n")
+    a = write(tmp_path, "alloc.txt", f"1/2\n{value}\n")
+    code, out, err = run(capsys, "core-check", g, a)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"alloc.txt:2: not a rational: {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["1/2", "+1/2", "0.5", "5e-1"])
+def test_allocation_values_in_ascii_forms(tmp_path, capsys, value):
+    g = write(tmp_path, "p2.txt", "0 1\n1 2\n")
+    a = write(tmp_path, "alloc.txt", f"{value}\n1/2\n")
+    code, out, _ = run(capsys, "core-check", g, a)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "member"}
+
+
 def test_core_check_length_mismatch(tmp_path, capsys):
     g = write(tmp_path, "p3.txt", PATH3)
     a = write(tmp_path, "alloc.txt", "1/3\n1/3\n")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,14 @@ from arboricity import (
     fractional_arboricity,
     nucleolus,
 )
+from arboricity import oracle
 from arboricity.oracle import (
+    DEFAULT_GAME_CAP,
+    ZERO,
+    _coalition_sum,
+    _edge_ends,
+    _nullspace_direction,
+    _subset_density,
     brute_core_check,
     brute_fractional_arboricity,
     enumerate_densest_subgraphs,
@@ -29,6 +37,110 @@ from conftest import (
     triangle,
     two_k4_shared_vertex,
 )
+
+
+# ---------------------------------------------------------------------------
+# test-only references: the Fraction gamma table, and the affine hull that
+# tries every direction with two LPs from an empty start
+
+
+def _reference_gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> list[int]:
+    """gamma(S) for every edge-subset bitmask, in sorted-EdgeId bit order.
+
+    gamma(S) is the ceiling of the maximum density over connected subsets of
+    S, computed by dynamic programming over the subset lattice.
+    """
+    m = g.num_edges()
+    if m > edge_cap:
+        raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
+    _, ends = _edge_ends(g)
+    best: list[Fraction] = [ZERO] * (1 << m)
+    table = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        b = ZERO
+        for i in range(m):
+            if mask >> i & 1:
+                prev = best[mask & ~(1 << i)]
+                if prev > b:
+                    b = prev
+        d = _subset_density(ends, mask)
+        if d is not None and d > b:
+            b = d
+        best[mask] = b
+        table[mask] = math.ceil(b)
+    return table
+
+
+def _reference_nullspace_direction(
+    rows: list[tuple[Fraction, ...]], m: int
+) -> tuple[Fraction, ...] | None:
+    """A deterministic nonzero vector orthogonal to all rows, or None."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(m):
+        sel = -1
+        for i in range(rank, len(mat)):
+            if mat[i][col] != 0:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        inv = Fraction(1) / mat[rank][col]
+        mat[rank] = [a * inv for a in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(m) if c not in pivots]
+    if not free:
+        return None
+    c = free[0]
+    d = [ZERO] * m
+    d[c] = Fraction(1)
+    for i, pc in enumerate(pivots):
+        d[pc] = -mat[i][c]
+    return tuple(d)
+
+
+def _reference_affine_hull(
+    face,
+) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, ...]]]:
+    """A point of the face plus directions spanning its affine hull."""
+    m = face.m
+    _, x0 = face.optimize([ZERO] * m)
+    span: list[tuple[Fraction, ...]] = []  # hull directions found so far
+    fixed: list[tuple[Fraction, ...]] = []  # directions with constant x.d
+    while True:
+        d = _reference_nullspace_direction(span + fixed, m)
+        if d is None:
+            return x0, span
+        hi, x_hi = face.optimize(d)
+        lo_neg, x_lo = face.optimize([-a for a in d])
+        if hi + lo_neg == 0:  # max d.x == min d.x
+            fixed.append(d)
+        else:
+            span.append(
+                tuple([a - b for a, b in zip(x_hi, x_lo)])
+            )
+
+
+def _rank(rows) -> int:
+    rank = 0
+    mat = [list(map(Fraction, r)) for r in rows]
+    for col in range(len(mat[0]) if mat else 0):
+        sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col] / mat[rank][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
 
 
 def test_brute_af_named():
@@ -145,3 +257,81 @@ def test_maschler_output_in_core(seed):
     theta_x = excess_vector(g, x)
     for y in core_vertices(g, cap=500):
         assert theta_x >= excess_vector(g, y)
+
+
+def test_gamma_table_matches_the_fraction_reference():
+    rng = random.Random(11)
+    for k in range(1000):
+        g = random_connected(rng, n_max=7, m_max=3 + k % 6)
+        assert gamma_table(g) == _reference_gamma_table(g)
+
+
+def test_nullspace_direction_matches_the_reference():
+    rng = random.Random(5)
+    for _ in range(1000):
+        m = rng.randint(1, 6)
+        rows = [
+            tuple([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m)])
+            for _ in range(rng.randint(0, m + 1))
+        ]
+        rows += rng.sample(rows, len(rows) // 2)  # repeats and reorders
+        assert _nullspace_direction(rows, m) == _reference_nullspace_direction(rows, m)
+
+
+def test_seeded_hull_matches_the_two_lp_reference(monkeypatch):
+    """Every round of the scheme finds the same hull, by the same fixed
+    coalitions, as the reference that seeds nothing and spends two LPs on
+    every direction; a face that is a point is the same point."""
+    seeded = oracle._affine_hull
+    rounds = points = 0
+
+    def checked(face, x0, fixed):
+        nonlocal rounds, points
+        span = seeded(face, x0, fixed)
+        ref_x0, ref_span = _reference_affine_hull(face)
+        assert _rank(span) == _rank(ref_span) == _rank(span + ref_span)
+        masks = range(1, (1 << face.m) - 1)
+        assert [s for s in masks if any(_coalition_sum(d, s) for d in span)] == [
+            s for s in masks if any(_coalition_sum(d, s) for d in ref_span)
+        ]
+        if not span:
+            points += 1
+            assert tuple(x0) == ref_x0
+        rounds += 1
+        return span
+
+    monkeypatch.setattr(oracle, "_affine_hull", checked)
+    rng = random.Random(3)
+    empty = fractional = solved = 0
+    for _ in range(300):
+        g = random_connected(rng, n_max=6, m_max=7)
+        fractional += fractional_arboricity(g).value.denominator != 1
+        try:
+            maschler_nucleolus(g)
+        except EmptyCoreError:
+            empty += 1
+        else:
+            solved += g.num_edges() > 1  # one edge takes no round
+    assert empty > 0 and fractional > 0 and points == solved
+    assert rounds > points  # some faces take more than one round
+
+
+def test_lp_count_per_nucleolus(monkeypatch):
+    """One round LP, then one LP per hull direction and two only for a
+    direction that proves constant: two LPs for every direction, as a hull
+    with nothing seeded spends, would raise these counts."""
+    calls = 0
+    solve = oracle.simplex_solve
+
+    def counting(lp):
+        nonlocal calls
+        calls += 1
+        return solve(lp)
+
+    monkeypatch.setattr(oracle, "simplex_solve", counting)
+    counts = []
+    for g in (k4(), path(3), two_k4_shared_vertex()):
+        calls = 0
+        maschler_nucleolus(g, edge_cap=12)
+        counts.append(calls)
+    assert counts == [9, 1, 21]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from arboricity.simplex import EQ, LE, make_lp, simplex_solve
+from arboricity.simplex import EQ, LE, SimplexResult, make_lp, simplex_solve
 from arboricity.simplex import _solve_direct, _solve_via_dual, _Tableau
 
 
@@ -162,3 +162,31 @@ def test_optimal_tableau_certifies_strong_duality(monkeypatch):
         assert sum(c * x for c, x in zip(lp.objective, point)) == value
     # the corpus reaches the redundant-row drop and negative pivots
     assert optima > 300 and dropped > 0 and negative_pivots > 0
+
+
+def test_prices_certify_both_routes():
+    """Each route's optimum carries dual prices that prove it: >= 0 on <=
+    rows, rhs . prices == value, A^T y >= c on nonnegative variables and
+    == c on free ones, and every row with a positive price tight at the
+    returned point."""
+    rng = random.Random(13)
+    optima = 0
+    for k in range(600):
+        lp = _random_lp(rng, duplicate_eq=k % 2 == 1)
+        via_dual = _solve_via_dual(lp)
+        for res in (SimplexResult(*_solve_direct(lp)), via_dual):
+            if res is None or res.status != "optimal":
+                assert res is None or res.prices is None
+                continue
+            optima += 1
+            y, point = res.prices, res.point
+            assert len(y) == len(lp.rhs)
+            assert all(yi >= 0 for yi, sense in zip(y, lp.senses) if sense == LE)
+            assert sum(b * yi for b, yi in zip(lp.rhs, y)) == res.value
+            for j, (c, flag) in enumerate(zip(lp.objective, lp.nonneg)):
+                reduced = sum(row[j] * yi for row, yi in zip(lp.lhs, y)) - c
+                assert reduced >= 0 if flag else reduced == 0
+            for row, b, yi in zip(lp.lhs, lp.rhs, y):
+                if yi > 0:
+                    assert sum(a * x for a, x in zip(row, point)) == b
+    assert optima > 300
