@@ -173,7 +173,10 @@ def _enumerate_mds(g: Multigraph, lam: Fraction) -> list[Multigraph]:
         for edges, mds in zip(inside, raw)
     ]
     for sub in found:
-        if not sub.is_connected() or density(sub) != lam:
+        # one components() pass: connected means one component, and then the
+        # density is m/(n - 1)
+        n, m = sub.num_vertices(), sub.num_edges()
+        if len(sub.components()) != 1 or n < 2 or Fraction(m, n - 1) != lam:
             raise InternalInvariantError("minimal densest subgraph extraction failed")
     return found
 

@@ -8,15 +8,15 @@ af(G) left; whatever edges remain form the non-prime set E0.  Every edge in
 a prime set lies in some densest minor; no edge of E0 does.
 
 A prime set Q precedes a prime set P when the minor defining P exists only
-after Q has been contracted.  That relation is computed by deleting Q's
-edges from the graph, replaying the contraction pipeline with the remaining
-prime sets, and checking whether P's defining minor keeps its vertex count.
+after Q has been contracted.  That relation is read from the merge forest
+of the contraction levels, by a replay per Q along Q's path up the forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .density import _enumerate_mds, fractional_arboricity
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
@@ -120,10 +120,10 @@ def _check_partition(g: Multigraph, pp: PrimePartition) -> None:
 def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     """Ancestor order of pp's prime sets, returned via parent lists.
 
-    For a candidate ancestor Q of P (level(Q) < level(P)): delete Q's edges,
-    contract the remaining prime sets level by level up to level(P), and
-    compare the number of image vertices spanned by P's edges against n(P).
-    A mismatch means P's defining minor needs Q contracted first.
+    Q is a direct ancestor of P when, with Q's edges left out and the other
+    sets contracted level by level, P's edges span more than n_p classes at
+    P's level.  Raises ``GraphInputError`` unless pp partitions g's edges at
+    g's af, and each set spans n_p >= 2 classes at its level and one after.
     """
     _check_partition(g, pp)
     if pp.af != fractional_arboricity(g).value:
@@ -131,67 +131,102 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     return _ancestor_order(g, pp)
 
 
-def _union_all(parent: list[int], ends: list[int]) -> None:
-    """Union the endpoints of each edge, given flattened as ``ends``, in the
-    list-based union-find ``parent`` (finds with path halving)."""
+def _find(up: dict[int, int], x: int) -> int:
+    while x in up:  # a node missing from ``up`` is a root
+        p = up[x]
+        up[x] = x = up.get(p, p)  # path halving
+    return x
+
+
+def _join(up: dict[int, int], ends: list[int]) -> None:
+    """Union, in ``up``, the ends of each edge given flattened as ``ends``."""
     for i in range(0, len(ends), 2):
-        a, b = ends[i], ends[i + 1]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
+        a, b = _find(up, ends[i]), _find(up, ends[i + 1])
         if a != b:
-            parent[a] = b
+            up[a] = b
 
 
 def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
-    """``ancestors`` without its input checks, for a partition built from g.
+    """``ancestors`` with only the checks the merge forest makes.
 
-    One replay per prime set Q, on a list-based union-find over compact
-    vertex ids.  Every Q of one level unions the same sets at the levels
-    below it, so those levels are unioned once into a shared base, and Q's
-    replay starts from a copy of it at level(Q).  The last level is tested
-    but never contracted, since no level above it is tested."""
-    # every ancestor has a lower level, so in this order it comes first
-    sets = sorted(pp.prime_sets, key=lambda ps: ps.level)
+    The forest's leaves are g's vertices; each class that a level's unions
+    make is a new node, the parent of the classes it merges.
+
+    Q's replay is a union-find on Q's chain: C, the node made from Q, then
+    C's ancestors.  At each chain node, the sets that made it, but Q, are
+    unioned on units: a class that joined the chain, or for an endpoint
+    inside C, its highest ancestor off the chain.  A set that merges C into
+    its parent and whose endpoints then span more than n_p roots has Q as a
+    direct ancestor.  This is exact: (1) each set lies in one class after
+    its level, so every class but C forms without Q; (2) a class that joins
+    C later formed without Q too, so it joins whole; (3) so P spans more
+    than n_p classes without Q only if its endpoints inside C fall in two
+    units; (4) once Q's units share one root, Q joins nothing new and no
+    higher set splits, so the replay stops there (the heal stop).
+    """
+    sets = sorted(pp.prime_sets, key=lambda ps: ps.level)  # ancestors first
     max_level = max((ps.level for ps in sets), default=0)
-    by_level: dict[int, list[PrimeSet]] = {}
-    for ps in sets:
-        by_level.setdefault(ps.level, []).append(ps)
     index = {v: i for i, v in enumerate(g.vertices)}
-    # each set's endpoints, flattened: edge j joins ends[2j] and ends[2j + 1]
-    ends = {
-        ps.id: [index[v] for eid in ps.edges for v in g.endpoints(eid)]
-        for ps in sets
-    }
+    cls: dict[int, int] = {}  # union-find whose roots are the current classes
+    parent: dict[int, int] = {}
+    lvl: dict[int, int] = {}  # node len(index) + p.id is made at p's level
+    merged_by: dict[int, list[PrimeSet]] = {}  # the sets whose unions made a node
+    touching: dict[int, list[PrimeSet]] = {}  # the sets that merge a node upwards
+    ends: dict[int, list[int]] = {}  # edge j of a set joins ends[2j], ends[2j + 1]
+    nodes: dict[int, list[int]] = {}  # per endpoint: its node at the set's level
+    for level, group in groupby(sets, key=lambda ps: ps.level):
+        batch = list(group)
+        for p in batch:
+            ends[p.id] = [index[v] for eid in p.edges for v in g.endpoints(eid)]
+            nodes[p.id] = [_find(cls, v) for v in ends[p.id]]
+            if len(set(nodes[p.id])) != p.n_p or p.n_p < 2:
+                raise GraphInputError("prime partition does not match the graph")
+            for c in set(nodes[p.id]):
+                touching.setdefault(c, []).append(p)
+        for p in batch:
+            _join(cls, nodes[p.id])
+        for p in batch:
+            r = _find(cls, nodes[p.id][0])
+            if lvl.get(r) != level:  # the level's first set in this class
+                cls[r] = r = len(index) + p.id
+                lvl[r] = level
+            if any(_find(cls, x) != r for x in nodes[p.id]):
+                raise GraphInputError("prime partition does not match the graph")
+            merged_by.setdefault(r, []).append(p)
+            parent.update(dict.fromkeys(nodes[p.id], r))
 
     direct: dict[int, set[int]] = {ps.id: set() for ps in sets}
-    base = list(range(len(index)))
-    base_level = 0  # base holds the unions of every level below this one
+    low = list(range(len(index)))  # per vertex: an ancestor made below level k
     for q in sets:
-        if q.level >= max_level:
-            break
-        while base_level < q.level:
-            for p in by_level.get(base_level, ()):
-                _union_all(base, ends[p.id])
-            base_level += 1
-        parent = list(base)
+        k, units = q.level, set(nodes[q.id])
+        top, chain, up, memo = parent[nodes[q.id][0]], set(), {}, {}
 
-        def find(x: int) -> int:
-            while parent[x] != x:  # path halving
-                parent[x] = x = parent[parent[x]]
-            return x
+        def units_of(p: PrimeSet) -> list[int]:
+            if p.id not in memo:  # the same when tested and when joined
+                out = memo[p.id] = []
+                for v, x in zip(ends[p.id], nodes[p.id]):
+                    if x in chain:  # inside C: the highest ancestor off the chain
+                        y = low[v]
+                        while lvl[parent[y]] < k:
+                            y = parent[y]
+                        low[v] = x = y
+                        while parent[x] not in chain:
+                            x = parent[x]
+                    out.append(x)
+            return memo[p.id]
 
-        for level in range(q.level, max_level + 1):
-            if level > q.level:
-                for p in by_level.get(level, ()):  # test before contracting level
-                    if len({find(v) for v in ends[p.id]}) != p.n_p:
-                        direct[p.id].add(q.id)
-            if level == max_level:
+        while lvl[top] < max_level:  # no level above the last one is tested
+            chain.add(top)
+            for p in merged_by[top]:
+                if p is not q:
+                    _join(up, units_of(p))
+            units = {_find(up, u) for u in units}
+            if top not in parent or len(units) == 1:
                 break
-            for p in by_level.get(level, ()):
-                if p.id != q.id:
-                    _union_all(parent, ends[p.id])
+            for p in touching[top]:
+                if len({_find(up, u) for u in units_of(p)}) != p.n_p:
+                    direct[p.id].add(q.id)
+            top = parent[top]
 
     # The pairwise test yields the direct dependences; a prime set can also
     # depend on the ancestors of its ancestors even when the direct test

@@ -170,9 +170,29 @@ def test_structured_closed_forms_at_scale(tmp_path, seed):
         out = tmp_path / f"{inst.family}.json"
         assert cli_main(["nucleolus", str(graph_file), "--output", str(out)]) == 0
         checks.check_structured(inst, json.loads(out.read_text()))
-        pp = prime_partition(Multigraph.from_edge_list(inst.edges))
+        g = Multigraph.from_edge_list(inst.edges)
+        pp = prime_partition(g)
         assert Counter(ps.level for ps in pp.prime_sets) == checks.expected_levels(inst)
         assert not pp.non_prime
+        parents = ancestors(g, pp).parents
+        if inst.family == "block_tree":
+            # each bundle's parents are the two K4s that its edges touch
+            k4_of = {
+                v: ps.id for ps in pp.prime_sets if ps.level == 0
+                for e in ps.edges for v in g.endpoints(e)
+            }
+            for ps in pp.prime_sets:
+                if ps.level == 1:
+                    touched = {k4_of[v] for e in ps.edges for v in g.endpoints(e)}
+                    assert parents[ps.id] == touched and len(touched) == 2
+        else:
+            # each set above the K4s has two parents one level down, and each
+            # set below the top is the parent of exactly one set
+            level = {ps.id: ps.level for ps in pp.prime_sets}
+            children = Counter(a for ps in parents.values() for a in ps)
+            for pid, above in parents.items():
+                assert [level[a] for a in above] == [level[pid] - 1] * (2 if level[pid] else 0)
+                assert children[pid] == (level[pid] < inst.size)
 
 
 def test_nucleolus_empty_core():

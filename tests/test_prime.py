@@ -1,4 +1,7 @@
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +32,10 @@ from conftest import (
     two_k4_bridge,
     two_k4_shared_vertex,
 )
+
+# the benchmark's structured generators, read only
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipeline_bench"))
+import workloads  # noqa: E402
 
 
 def test_tree_partition():
@@ -169,6 +176,29 @@ def test_ancestors_partition_of_other_af():
     assert cycle.edge_ids == g.edge_ids and fractional_arboricity(cycle).value != pp.af
     with pytest.raises(GraphInputError):
         ancestors(cycle, pp)
+
+
+def _moved(pp: PrimePartition, pid: int, **change) -> PrimePartition:
+    sets = tuple(replace(ps, **change) if ps.id == pid else ps for ps in pp.prime_sets)
+    return PrimePartition(sets, pp.non_prime, pp.af)
+
+
+def test_ancestors_reject_a_partition_of_other_levels():
+    # each partition covers g's edges at g's af, but its sets do not span
+    # n_p classes at their levels, or do not lie in one class after them
+    g = four_k4_chain()
+    pp = prime_partition(g)
+    top = pp.prime_sets[6]
+    assert top.level == 2 and top.n_p == 2
+    wrong = [
+        _moved(pp, 6, n_p=3),  # the top set's n_p off by one
+        _moved(pp, 6, level=0),  # the top set at level 0
+        _moved(pp, 0, level=3),  # a K4 at level 3
+        _moved(pp, 4, level=2),  # the A-B bundle at level 2
+    ]
+    for part in wrong:
+        with pytest.raises(GraphInputError, match="prime partition does not match the graph"):
+            ancestors(g, part)
 
 
 def test_decompose_shared_k4s():
@@ -314,3 +344,47 @@ def test_ancestor_order_matches_the_reference_replay():
         for part in (pp, flipped):
             assert _ancestor_order(g, part).parents == _reference_ancestor_order(g, part).parents
     assert len(graphs) == 360 and layered >= 200
+    # the benchmark's K4 block trees (B = 2..40: one level of bundles over
+    # the K4s) and pair hierarchies (d = 1..6: d levels of bundles)
+    rng = random.Random(17)
+    insts = [workloads.block_tree(rng, b) for b in range(2, 41)]
+    insts += [workloads.pair_hierarchy(rng, d) for d in range(1, 7)]
+    for inst in insts:
+        g = Multigraph.from_edge_list(inst.edges)
+        pp = prime_partition(g)
+        assert len({ps.level for ps in pp.prime_sets}) > 1
+        flipped = PrimePartition(tuple(reversed(pp.prime_sets)), pp.non_prime, pp.af)
+        for part in (pp, flipped):
+            assert _ancestor_order(g, part).parents == _reference_ancestor_order(g, part).parents
+
+
+def test_replays_union_a_bounded_number_of_edges(monkeypatch):
+    # every union-find union of the ancestor order goes through
+    # ``prime._join``: the forest build unions each prime edge once, and
+    # each replay only the sets on its prime set's path up the forest, so
+    # on a wide tree, a deep hierarchy and a tall tower all of them
+    # together stay within 4 m; a replay over whole levels would not
+    import random
+
+    from arboricity import prime
+
+    joined = 0
+    join = prime._join
+
+    def counted(up, ends):
+        nonlocal joined
+        joined += len(ends) // 2
+        join(up, ends)
+
+    monkeypatch.setattr(prime, "_join", counted)
+    rng = random.Random(5)
+    graphs = [
+        Multigraph.from_edge_list(workloads.block_tree(rng, 200).edges),
+        Multigraph.from_edge_list(workloads.pair_hierarchy(rng, 8).edges),
+        k4_tower(300),
+    ]
+    for g in graphs:
+        pp = prime_partition(g)
+        joined = 0
+        _ancestor_order(g, pp)
+        assert sum(len(ps.edges) for ps in pp.prime_sets) <= joined <= 4 * g.num_edges()
