@@ -182,6 +182,13 @@ def _emit(doc: dict, output: str | None) -> None:
             raise GraphInputError(f"cannot write {output}: {exc}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    """An argparse type: ASCII digits, read as an int (a cap may be 0)."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -224,7 +231,7 @@ def _parser() -> argparse.ArgumentParser:
         "subcommand", choices=["af", "densest-list", "nucleolus"]
     )
     p_or.add_argument("graph")
-    p_or.add_argument("--cap", type=int, default=None)
+    p_or.add_argument("--cap", type=_nonnegative_int, default=None)
     p_or.add_argument("--output", default=None)
     p_or.set_defaults(run=cmd_oracle)
     return parser

@@ -7,9 +7,9 @@ of a common epsilon: peel the minimal elements of the ancestor order round
 by round; a set removed in round k is worth k*epsilon.  Epsilon itself is
 fixed by the tight-tree normalization sum((n_p - 1) * y_P) = 1.
 
-The multiplier of a prime set equals its height in the ancestor order; both
-the round simulation and a depth-first height computation are run and
-compared.
+The multiplier of a prime set equals its height in the ancestor order: the
+rounds are checked against the height recurrence, each set's round being 1
+plus the largest round among its children.
 """
 
 from __future__ import annotations
@@ -79,30 +79,11 @@ def peel(poset: AncestorPoset) -> dict[int, int]:
         minimal = freed
     if len(rounds) != len(parents):
         raise InternalInvariantError("ancestor order contains a cycle")
-
-    if _heights(children) != rounds:
-        raise InternalInvariantError("peeling rounds disagree with poset heights")
+    # the height recurrence: 1 + the largest round among a set's children
+    for p, c in children.items():
+        if rounds[p] != 1 + max([rounds[x] for x in c], default=0):
+            raise InternalInvariantError("peeling rounds disagree with poset heights")
     return rounds
-
-
-def _heights(children: dict[int, list[int]]) -> dict[int, int]:
-    """1 + the longest chain of children below each set of an acyclic order,
-    by depth-first post-order with an explicit stack."""
-    height: dict[int, int] = {}
-    for start in children:
-        stack = [start]
-        while stack:
-            p = stack[-1]
-            if p in height:
-                stack.pop()
-                continue
-            pending = [c for c in children[p] if c not in height]
-            if pending:
-                stack.extend(pending)
-            else:
-                stack.pop()
-                height[p] = 1 + max((height[c] for c in children[p]), default=0)
-    return height
 
 
 def solve_epsilon(pp: PrimePartition, multipliers: dict[int, int]) -> Fraction:

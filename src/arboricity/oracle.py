@@ -6,9 +6,13 @@ all coalitions, and the nucleolus is obtained by the classical scheme of
 recursively solved linear programs over the full coalition lattice.  These
 are the reference answers the fast algorithms are tested against.
 
-Coalition costs come from ``gamma_table``, an int dynamic program over the
-subset lattice that finds each coalition's vertex set and connectivity with
-bit masks.
+Every per-coalition quantity comes from one recurrence over the subset
+lattice of edge bit masks, which builds each mask S from S without its
+lowest bit: ``_lattice`` gives S's vertex mask and whether S is connected,
+which price every coalition (``gamma_table``) and find the densest
+subgraphs, and ``_subset_sums`` gives x(S) for every S.  A maximum over
+subsets (``gamma_table``) or a minimum over supersets (``_prune``) takes
+one pass per bit.
 
 The scheme maximizes, round by round, the minimum excess over coalitions not
 yet fixed, then restricts to the optimal face.  Faces are carried as exact
@@ -47,8 +51,8 @@ from .errors import (
     InternalInvariantError,
     ResourceLimitError,
 )
-from .game import Allocation, _connected_vertex_subsets
-from .multigraph import EdgeId, Multigraph, VertexId, _UnionFind
+from .game import Allocation
+from .multigraph import EdgeId, Multigraph, VertexId
 from .simplex import EQ, LE, make_lp, simplex_solve
 
 ZERO = Fraction(0)
@@ -58,77 +62,107 @@ DEFAULT_GAME_CAP = 10
 
 
 # ---------------------------------------------------------------------------
-# exhaustive density oracles
-
-
-def _edge_order(g: Multigraph) -> list[EdgeId]:
-    return sorted(g.edge_ids)
+# the subset lattice
 
 
 def _edge_ends(g: Multigraph) -> tuple[list[EdgeId], list[tuple[int, int]]]:
     """Edges in id order and their endpoints as indices of sorted vertices."""
-    order = _edge_order(g)
+    order = sorted(g.edge_ids)
     vindex = {v: i for i, v in enumerate(sorted(g.vertices))}
     return order, [(vindex[u], vindex[v]) for u, v in map(g.endpoints, order)]
 
 
-def _subset_density(
-    ends: Sequence[tuple[int, int]], mask: int
-) -> Fraction | None:
-    """Density of the edge subset, or None if it is not connected."""
-    verts: set[int] = set()
-    edges = []
-    for i, (u, v) in enumerate(ends):
-        if mask >> i & 1:
-            verts.add(u)
-            verts.add(v)
-            edges.append((u, v))
-    if not edges:
-        return None
-    uf = _UnionFind(verts)
-    for u, v in edges:
-        uf.union(u, v)
-    if len({uf.find(v) for v in verts}) != 1:
-        return None
-    return Fraction(len(edges), len(verts) - 1)
+def _lattice(ends: Sequence[tuple[int, int]]) -> tuple[list[int], list[bool]]:
+    """Per edge mask S: its vertex mask, and whether S is nonempty and connected.
+
+    ``comp[S]`` is the component of S that holds its lowest edge e.  The
+    components of S - e are read off it one by one, each as ``comp`` of what
+    is left; e joins those it touches, and S is connected if that is all S.
+    """
+    touch = [1 << u | 1 << v for u, v in ends]
+    size = 1 << len(ends)
+    verts = [0] * size
+    comp = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        t = touch[low.bit_length() - 1]
+        verts[mask] = verts[rest] | t
+        c = low
+        while rest:
+            part = comp[rest]
+            if verts[part] & t:
+                c |= part
+            rest ^= part
+        comp[mask] = c
+    return verts, [c == mask != 0 for mask, c in enumerate(comp)]
 
 
-def brute_fractional_arboricity(
-    g: Multigraph, edge_cap: int = DEFAULT_AF_CAP
-) -> tuple[Fraction, frozenset[VertexId]]:
-    """Maximum of m(H)/(n(H)-1) over all connected edge subsets, with witness."""
+def _subset_sums(x: Sequence[Fraction]) -> list[Fraction]:
+    """x(S) for every bit mask S, each from S without its lowest bit."""
+    sums = [ZERO] * (1 << len(x))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + x[low.bit_length() - 1]
+    return sums
+
+
+# ---------------------------------------------------------------------------
+# exhaustive density oracles
+
+
+def _size(g: Multigraph, edge_cap: int) -> int:
+    """g's edge count, checked to be at least 1 and at most ``edge_cap``."""
     m = g.num_edges()
     if m == 0:
         raise GraphInputError("graph has no edges")
     if m > edge_cap:
         raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
-    order, ends = _edge_ends(g)
-    best: Fraction | None = None
-    best_mask = 0
+    return m
+
+
+def _densest(g: Multigraph, edge_cap: int) -> tuple[Fraction, list[int]]:
+    """af by enumeration, and the vertex mask of each connected edge mask of
+    density af, in ascending edge-mask order."""
+    m = _size(g, edge_cap)
+    _, ends = _edge_ends(g)
+    verts, connected = _lattice(ends)
+    k, n, hits = 0, 1, []  # the best density so far is k / n
     for mask in range(1, 1 << m):
-        d = _subset_density(ends, mask)
-        if d is not None and (best is None or d > best):
-            best, best_mask = d, mask
-    assert best is not None
-    verts = {
-        w
-        for i, e in enumerate(order)
-        if best_mask >> i & 1
-        for w in g.endpoints(e)
-    }
-    return best, frozenset(verts)
+        if connected[mask]:
+            k2, n2 = mask.bit_count(), verts[mask].bit_count() - 1
+            if k2 * n > k * n2:
+                k, n, hits = k2, n2, []
+            if k2 * n == k * n2:
+                hits.append(verts[mask])
+    return Fraction(k, n), hits
+
+
+def _vertex_set(g: Multigraph, vmask: int) -> frozenset[VertexId]:
+    return frozenset([v for i, v in enumerate(sorted(g.vertices)) if vmask >> i & 1])
+
+
+def brute_fractional_arboricity(
+    g: Multigraph, edge_cap: int = DEFAULT_AF_CAP
+) -> tuple[Fraction, frozenset[VertexId]]:
+    """Maximum of m(H)/(n(H)-1) over all connected edge subsets, with the
+    vertices of the first edge mask, in ascending order, that attains it."""
+    af, hits = _densest(g, edge_cap)
+    return af, _vertex_set(g, hits[0])
 
 
 def enumerate_densest_subgraphs(
     g: Multigraph, edge_cap: int = DEFAULT_AF_CAP
 ) -> list[frozenset[VertexId]]:
-    """All connected induced subgraphs attaining the maximum density."""
-    af, _ = brute_fractional_arboricity(g, edge_cap)
-    return [
-        subset
-        for subset, sub in _connected_vertex_subsets(g)
-        if Fraction(sub.num_edges(), len(subset) - 1) == af
-    ]
+    """All connected induced subgraphs attaining the maximum density, in
+    ascending bit-mask order of the sorted vertices.
+
+    A connected edge set of maximum density is induced, since an edge it
+    left out would raise its density; so these are the distinct vertex
+    masks of the densest connected edge masks.
+    """
+    _, hits = _densest(g, edge_cap)
+    return [_vertex_set(g, h) for h in sorted(set(hits))]
 
 
 # ---------------------------------------------------------------------------
@@ -139,54 +173,32 @@ def gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> list[int]:
     """gamma(S) for every edge-subset bitmask, in sorted-EdgeId bit order.
 
     gamma(S) is the ceiling of the maximum density over connected subsets of
-    S.  The ceiling is monotone, so gamma(S) is the largest of gamma(S - e)
-    over e in S and, when S is connected, ceil(|S| / (n(S) - 1)): a dynamic
-    program over the subset lattice in ints.  Vertex sets are bit masks, and
-    S is connected when some e in S touches a connected S - e (remove an
-    edge on a cycle, or a pendant edge of a spanning tree).
+    S.  The ceiling is monotone, so gamma(S) is the largest
+    ceil(|T| / (n(T) - 1)) over connected T within S: that value on each
+    connected mask, then a maximum over subsets, one pass per bit, in ints.
     """
     m = g.num_edges()
     if m > edge_cap:
         raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
     _, ends = _edge_ends(g)
-    touch = {1 << i: 1 << u | 1 << v for i, (u, v) in enumerate(ends)}
-    size = 1 << m
-    table = [0] * size
-    verts = [0] * size
-    connected = [False] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        verts[mask] = verts[rest] | touch[low]
-        conn = not rest
-        best = 0
-        bits = mask
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            sub = mask ^ bit
-            if table[sub] > best:
-                best = table[sub]
-            if not conn and connected[sub] and touch[bit] & verts[sub]:
-                conn = True
-        if conn:
-            connected[mask] = True
-            ceil = -(-mask.bit_count() // (verts[mask].bit_count() - 1))
-            if ceil > best:
-                best = ceil
-        table[mask] = best
+    verts, connected = _lattice(ends)
+    table = [
+        -(-mask.bit_count() // (v.bit_count() - 1)) if conn else 0
+        for mask, (v, conn) in enumerate(zip(verts, connected))
+    ]
+    for i in range(m):
+        bit = 1 << i
+        for mask in range(1 << m):
+            if mask & bit and table[mask ^ bit] > table[mask]:
+                table[mask] = table[mask ^ bit]
     return table
 
 
-def _coalition_sum(x: Sequence[Fraction], mask: int) -> Fraction:
-    total = ZERO
-    i = 0
-    while mask:
-        if mask & 1:
-            total += x[i]
-        mask >>= 1
-        i += 1
-    return total
+def _allocation(g: Multigraph, x: Mapping[EdgeId, Fraction | int]) -> list[Fraction]:
+    """x's values in edge-id order, once x is checked to price exactly g's edges."""
+    if set(x) != set(g.edge_ids):
+        raise GraphInputError("allocation must assign a value to every edge")
+    return [Fraction(x[e]) for e in sorted(g.edge_ids)]
 
 
 def brute_core_check(
@@ -195,20 +207,12 @@ def brute_core_check(
     edge_cap: int = DEFAULT_GAME_CAP,
 ) -> bool:
     """x >= 0, x(E) = gamma(E), and x(S) <= gamma(S) for every coalition."""
-    if set(x) != set(g.edge_ids):
-        raise GraphInputError("allocation must assign a value to every edge")
+    vals = _allocation(g, x)
     table = gamma_table(g, edge_cap)
-    order = _edge_order(g)
-    vals = [Fraction(x[e]) for e in order]
     if any(v < 0 for v in vals):
         return False
-    full = (1 << len(order)) - 1
-    if sum(vals) != table[full]:
-        return False
-    for mask in range(1, full):
-        if _coalition_sum(vals, mask) > table[mask]:
-            return False
-    return True
+    sums = _subset_sums(vals)
+    return sums[-1] == table[-1] and all(s <= t for s, t in zip(sums, table))
 
 
 def excess_vector(
@@ -217,45 +221,39 @@ def excess_vector(
     edge_cap: int = DEFAULT_GAME_CAP,
 ) -> tuple[Fraction, ...]:
     """All nontrivial excesses gamma(S) - x(S), sorted non-decreasingly."""
+    vals = _allocation(g, x)
     table = gamma_table(g, edge_cap)
-    order = _edge_order(g)
-    vals = [Fraction(x[e]) for e in order]
-    full = (1 << len(order)) - 1
-    exc = [table[mask] - _coalition_sum(vals, mask) for mask in range(1, full)]
-    return tuple(sorted(exc))
+    sums = _subset_sums(vals)
+    return tuple(sorted([t - s for t, s in zip(table[1:-1], sums[1:-1])]))
 
 
 # ---------------------------------------------------------------------------
 # the classical nucleolus scheme
 
 
-def _prune_round_one(table: list[int], m: int) -> list[int]:
-    """Coalitions whose constraint is not implied by an equal-cost superset."""
-    full = (1 << m) - 1
-    kept = []
-    for mask in range(1, full):
-        implied = False
-        for i in range(m):
-            if not mask >> i & 1:
-                sup = mask | 1 << i
-                if sup != full and table[sup] == table[mask]:
-                    implied = True
-                    break
-        if not implied:
-            kept.append(mask)
-    return kept
+def _prune(active: list[int], table: list[int], m: int) -> list[int]:
+    """The active coalitions whose constraint no active strict superset of
+    the same cost implies.
 
-
-def _prune_within(masks: list[int], table: list[int], full: int) -> list[int]:
-    kept = []
-    for s in masks:
-        implied = any(
-            s2 != s and s2 != full and s | s2 == s2 and table[s2] <= table[s]
-            for s2 in masks
-        )
-        if not implied:
-            kept.append(s)
-    return kept
+    ``least[T]`` is the least cost of an active superset of T, by a minimum
+    over supersets, one pass per bit.  Costs are monotone, so an active
+    strict superset of S costs gamma(S) exactly when a one-bit extension of
+    S has least cost gamma(S).
+    """
+    none = m + 1  # above every cost, since gamma(S) <= |S|
+    least = [none] * (1 << m)
+    for s in active:
+        least[s] = table[s]
+    for i in range(m):
+        bit = 1 << i
+        for mask in range(1 << m):
+            if not mask & bit and least[mask | bit] < least[mask]:
+                least[mask] = least[mask | bit]
+    return [
+        s
+        for s in active
+        if all(least[s | 1 << i] != table[s] for i in range(m) if not s >> i & 1)
+    ]
 
 
 def _indicator(mask: int, m: int) -> tuple[int, ...]:
@@ -410,12 +408,8 @@ def maschler_nucleolus(
     previous optimal face; a coalition is fixed when its total is constant
     on the face.  Stops when the face is a single point.
     """
-    m = g.num_edges()
-    if m == 0:
-        raise GraphInputError("graph has no edges")
-    if m > edge_cap:
-        raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
-    order = _edge_order(g)
+    m = _size(g, edge_cap)
+    order = sorted(g.edge_ids)
     table = gamma_table(g, edge_cap)
     full = (1 << m) - 1
 
@@ -424,7 +418,6 @@ def maschler_nucleolus(
 
     face = _Face(m, table[full])
     active = list(range(1, full))
-    pruned = _prune_round_one(table, m)
     # indicators of the coalitions fixed in earlier rounds: constant on the
     # earlier faces, hence on every later one
     fixed_before: list[tuple[int, ...]] = []
@@ -432,6 +425,7 @@ def maschler_nucleolus(
     while True:
         if len(epsilons) > m + 2:
             raise InternalInvariantError("scheme failed to terminate")
+        pruned = _prune(active, table, m)
         eps, x0, tight = face.epsilon_lp(pruned, table)
         if not epsilons and eps < 0:
             raise EmptyCoreError(f"core empty: least core epsilon = {eps}")
@@ -443,9 +437,10 @@ def maschler_nucleolus(
         span = _affine_hull(face, x0, seed)
         if not span:
             return {order[j]: x0[j] for j in range(m)}
+        sums = [_subset_sums(d) for d in span]
         still = []
         for mask in active:
-            if any(_coalition_sum(d, mask) != 0 for d in span):
+            if any(s[mask] for s in sums):
                 still.append(mask)
             else:
                 fixed_before.append(_indicator(mask, m))
@@ -453,4 +448,3 @@ def maschler_nucleolus(
             raise InternalInvariantError("no coalition became fixed")
         epsilons.append(eps)
         active = still
-        pruned = _prune_within(active, table, full)

@@ -8,13 +8,13 @@ the tableau holds integers over one common denominator and pivots
 fraction-free, so there are no tolerances and no rational arithmetic per
 entry.
 
-The game oracle produces LPs with few variables and many constraints, so
-``simplex_solve`` transparently solves the dual in that regime and recovers
-the primal point from the dual's shadow prices; both routes give identical
-answers and the direct route remains the fallback whenever the dual route is
-inconclusive.  Every optimum also carries an optimal dual point, one price
-per row: the direct route reads it from the final tableau, the dual route
-takes the dual's own point.
+``simplex_solve`` solves every problem through its dual and recovers the
+primal point from the dual's shadow prices.  The direct tableau solves that
+dual, and it is the fallback whenever the dual route is inconclusive (a
+dual that is infeasible leaves the primal infeasible or unbounded).  Every
+optimum also carries an optimal dual point, one price per row: the direct
+route reads it from the final tableau, the dual route takes the dual's own
+point.
 """
 
 from __future__ import annotations
@@ -369,11 +369,8 @@ def _solve_via_dual(lp: LinearProgram) -> SimplexResult | None:
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     """Exact optimum, or infeasible/unbounded, deterministically.
 
-    Tall problems (many more rows than variables) are solved through the
-    dual; the direct tableau is the fallback whenever that is inconclusive.
+    Every problem is solved through its dual first; the direct tableau is
+    the fallback whenever that is inconclusive.
     """
-    if len(lp.rhs) >= 3 * max(1, len(lp.objective)):
-        res = _solve_via_dual(lp)
-        if res is not None:
-            return res
-    return SimplexResult(*_solve_direct(lp))
+    res = _solve_via_dual(lp)
+    return res if res is not None else SimplexResult(*_solve_direct(lp))

@@ -275,6 +275,18 @@ def test_oracle_cap_exit_code(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "+3", "1.5", "x"])
+def test_oracle_cap_is_a_nonnegative_integer(tmp_path, capsys, cap):
+    path = write(tmp_path, "t.txt", TRIANGLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "af", path, "--cap", cap])
+    assert exc.value.code == 2
+    assert "--cap: not a nonnegative integer" in capsys.readouterr().err
+    # a cap of 0 is well formed, and three edges exceed it
+    code, _, err = run(capsys, "oracle", "af", path, "--cap", "0")
+    assert (code, err) == (4, "error: 3 edges exceeds oracle cap 0\n")
+
+
 def test_oracle_matches_fast_nucleolus(tmp_path, capsys):
     g = write(tmp_path, "k4.txt", K4)
     _, fast_out, _ = run(capsys, "nucleolus", g)

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arboricity import (
     EmptyCoreError,
+    GraphInputError,
     Multigraph,
     ResourceLimitError,
     core_nonempty,
@@ -15,13 +17,15 @@ from arboricity import (
     nucleolus,
 )
 from arboricity import oracle
+from arboricity.game import _connected_vertex_subsets
+from arboricity.multigraph import VertexId, _UnionFind
 from arboricity.oracle import (
     DEFAULT_GAME_CAP,
     ZERO,
-    _coalition_sum,
     _edge_ends,
     _nullspace_direction,
-    _subset_density,
+    _prune,
+    _subset_sums,
     brute_core_check,
     brute_fractional_arboricity,
     enumerate_densest_subgraphs,
@@ -40,8 +44,102 @@ from conftest import (
 
 
 # ---------------------------------------------------------------------------
-# test-only references: the Fraction gamma table, and the affine hull that
-# tries every direction with two LPs from an empty start
+# test-only references: a union-find per edge mask, a bit loop per coalition
+# sum, a pair loop per prune, the Fraction gamma table, and the affine hull
+# that tries every direction with two LPs from an empty start
+
+
+def _reference_subset_density(
+    ends: Sequence[tuple[int, int]], mask: int
+) -> Fraction | None:
+    """Density of the edge subset, or None if it is not connected."""
+    verts: set[int] = set()
+    edges = []
+    for i, (u, v) in enumerate(ends):
+        if mask >> i & 1:
+            verts.add(u)
+            verts.add(v)
+            edges.append((u, v))
+    if not edges:
+        return None
+    uf = _UnionFind(verts)
+    for u, v in edges:
+        uf.union(u, v)
+    if len({uf.find(v) for v in verts}) != 1:
+        return None
+    return Fraction(len(edges), len(verts) - 1)
+
+
+def _reference_brute_fractional_arboricity(
+    g: Multigraph,
+) -> tuple[Fraction, frozenset[VertexId]]:
+    """Maximum of m(H)/(n(H)-1) over all connected edge subsets, with witness."""
+    m = g.num_edges()
+    order, ends = _edge_ends(g)
+    best: Fraction | None = None
+    best_mask = 0
+    for mask in range(1, 1 << m):
+        d = _reference_subset_density(ends, mask)
+        if d is not None and (best is None or d > best):
+            best, best_mask = d, mask
+    assert best is not None
+    verts = {
+        w
+        for i, e in enumerate(order)
+        if best_mask >> i & 1
+        for w in g.endpoints(e)
+    }
+    return best, frozenset(verts)
+
+
+def _reference_enumerate_densest_subgraphs(g: Multigraph) -> list[frozenset[VertexId]]:
+    """All connected induced subgraphs attaining the maximum density."""
+    af, _ = _reference_brute_fractional_arboricity(g)
+    return [
+        subset
+        for subset, sub in _connected_vertex_subsets(g)
+        if Fraction(sub.num_edges(), len(subset) - 1) == af
+    ]
+
+
+def _reference_coalition_sum(x: Sequence[Fraction], mask: int) -> Fraction:
+    total = ZERO
+    i = 0
+    while mask:
+        if mask & 1:
+            total += x[i]
+        mask >>= 1
+        i += 1
+    return total
+
+
+def _reference_prune_round_one(table: list[int], m: int) -> list[int]:
+    """Coalitions whose constraint is not implied by an equal-cost superset."""
+    full = (1 << m) - 1
+    kept = []
+    for mask in range(1, full):
+        implied = False
+        for i in range(m):
+            if not mask >> i & 1:
+                sup = mask | 1 << i
+                if sup != full and table[sup] == table[mask]:
+                    implied = True
+                    break
+        if not implied:
+            kept.append(mask)
+    return kept
+
+
+def _reference_prune_within(masks: list[int], table: list[int], full: int) -> list[int]:
+    kept = []
+    for s in masks:
+        implied = any(
+            s2 != s and s2 != full and s | s2 == s2 and table[s2] <= table[s]
+            for s2 in masks
+        )
+        if not implied:
+            kept.append(s)
+    return kept
 
 
 def _reference_gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> list[int]:
@@ -63,7 +161,7 @@ def _reference_gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> l
                 prev = best[mask & ~(1 << i)]
                 if prev > b:
                     b = prev
-        d = _subset_density(ends, mask)
+        d = _reference_subset_density(ends, mask)
         if d is not None and d > b:
             b = d
         best[mask] = b
@@ -266,6 +364,60 @@ def test_gamma_table_matches_the_fraction_reference():
         assert gamma_table(g) == _reference_gamma_table(g)
 
 
+def test_densest_masks_match_the_union_find_references():
+    """brute af, its witness and the densest list, read off the lattice,
+    equal a union-find per edge mask and a scan of the induced vertex
+    subsets, on contiguous and scattered vertex labels."""
+    rng = random.Random(23)
+    scattered = 0
+    for k in range(2000):
+        g = random_connected(rng, n_max=7, m_max=2 + k % 7)
+        if k % 3 == 0:  # labels in random order with gaps
+            labels = rng.sample(range(100), 7)
+            g = Multigraph.from_edge_list(
+                [(labels[u], labels[v]) for u, v in map(g.endpoints, sorted(g.edge_ids))]
+            )
+            scattered += 1
+        assert brute_fractional_arboricity(g) == _reference_brute_fractional_arboricity(g)
+        assert enumerate_densest_subgraphs(g) == _reference_enumerate_densest_subgraphs(g)
+    assert scattered > 600
+
+
+def test_subset_sums_match_the_bit_loop():
+    rng = random.Random(29)
+    for _ in range(300):
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rng.randint(0, 7))]
+        sums = _subset_sums(x)
+        assert sums == [_reference_coalition_sum(x, mask) for mask in range(1 << len(x))]
+
+
+def test_prune_matches_both_references():
+    """One superset-minimum prune equals the round-one scan when every
+    coalition is active, and the pair loop on any active list."""
+    rng = random.Random(31)
+    for k in range(300):
+        g = random_connected(rng, n_max=7, m_max=3 + k % 6)
+        m = g.num_edges()
+        table = gamma_table(g)
+        full = (1 << m) - 1
+        every = list(range(1, full))
+        kept = _prune(every, table, m)
+        assert kept == _reference_prune_round_one(table, m)
+        assert kept == _reference_prune_within(every, table, full)
+        for _ in range(3):
+            active = [s for s in every if rng.random() < 0.5]
+            assert _prune(active, table, m) == _reference_prune_within(active, table, full)
+
+
+def test_excess_vector_checks_the_allocation_keys():
+    t = triangle()
+    with pytest.raises(GraphInputError, match="every edge"):
+        excess_vector(t, {0: 1, 1: 1})
+    with pytest.raises(GraphInputError, match="every edge"):
+        excess_vector(t, {0: 1, 1: 0, 2: 0, 7: 1})
+    assert excess_vector(t, {0: 1, 1: 1, 2: 0}) == (-1, 0, 0, 0, 0, 1)
+
+
 def test_nullspace_direction_matches_the_reference():
     rng = random.Random(5)
     for _ in range(1000):
@@ -291,8 +443,8 @@ def test_seeded_hull_matches_the_two_lp_reference(monkeypatch):
         ref_x0, ref_span = _reference_affine_hull(face)
         assert _rank(span) == _rank(ref_span) == _rank(span + ref_span)
         masks = range(1, (1 << face.m) - 1)
-        assert [s for s in masks if any(_coalition_sum(d, s) for d in span)] == [
-            s for s in masks if any(_coalition_sum(d, s) for d in ref_span)
+        assert [s for s in masks if any(_reference_coalition_sum(d, s) for d in span)] == [
+            s for s in masks if any(_reference_coalition_sum(d, s) for d in ref_span)
         ]
         if not span:
             points += 1

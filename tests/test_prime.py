@@ -292,9 +292,12 @@ def test_prime_partition_takes_the_callers_af(make):
         prime_partition(g, af - Fraction(1, 7))
 
 
-def _reference_ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
+def _reference_ancestor_order(
+    g: Multigraph, pp: PrimePartition
+) -> tuple[AncestorPoset, dict[int, frozenset[int]]]:
     """The ancestor order by one dict-based union-find replay over every
-    level per prime set, kept as the reference for ``_ancestor_order``."""
+    level per prime set, kept as the reference for ``_ancestor_order``,
+    with the transitive closure of its direct dependences."""
     from arboricity.multigraph import _UnionFind
 
     sets = sorted(pp.prime_sets, key=lambda ps: ps.level)
@@ -325,7 +328,15 @@ def _reference_ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPose
         below = frozenset().union(*(closed[d] for d in direct[ps.id]))
         closed[ps.id] = below | direct[ps.id]
         parents[ps.id] = frozenset(direct[ps.id] - below)
-    return AncestorPoset(parents)
+    return AncestorPoset(parents), closed
+
+
+def _check_against_the_reference(g: Multigraph, part: PrimePartition) -> None:
+    poset = _ancestor_order(g, part)
+    ref, closed = _reference_ancestor_order(g, part)
+    assert poset.parents == ref.parents
+    # the parent lists regenerate exactly the closed relation
+    assert {pid: poset.ancestors_of(pid) for pid in closed} == closed
 
 
 def test_ancestor_order_matches_the_reference_replay():
@@ -342,7 +353,7 @@ def test_ancestor_order_matches_the_reference_replay():
         layered += len({ps.level for ps in pp.prime_sets}) > 1
         flipped = PrimePartition(tuple(reversed(pp.prime_sets)), pp.non_prime, pp.af)
         for part in (pp, flipped):
-            assert _ancestor_order(g, part).parents == _reference_ancestor_order(g, part).parents
+            _check_against_the_reference(g, part)
     assert len(graphs) == 360 and layered >= 200
     # the benchmark's K4 block trees (B = 2..40: one level of bundles over
     # the K4s) and pair hierarchies (d = 1..6: d levels of bundles)
@@ -355,7 +366,7 @@ def test_ancestor_order_matches_the_reference_replay():
         assert len({ps.level for ps in pp.prime_sets}) > 1
         flipped = PrimePartition(tuple(reversed(pp.prime_sets)), pp.non_prime, pp.af)
         for part in (pp, flipped):
-            assert _ancestor_order(g, part).parents == _reference_ancestor_order(g, part).parents
+            _check_against_the_reference(g, part)
 
 
 def test_replays_union_a_bounded_number_of_edges(monkeypatch):
