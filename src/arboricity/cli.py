@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import game, oracle, prime
+from . import game, prime
 from .density import fractional_arboricity
 from .errors import (
     DisconnectedGraphError,
@@ -154,6 +154,8 @@ def cmd_core_check(g: Multigraph, args: argparse.Namespace) -> dict:
 
 
 def cmd_oracle(g: Multigraph, args: argparse.Namespace) -> dict:
+    from . import oracle  # here, so that the other commands never load it
+
     kwargs = {"edge_cap": args.cap} if args.cap is not None else {}
     if args.subcommand == "af":
         value, witness = oracle.brute_fractional_arboricity(g, **kwargs)

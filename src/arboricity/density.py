@@ -14,9 +14,12 @@ sweeps roots over the graph, peeling and deleting as it goes.  Witness
 extraction follows a fixed rule: from the min-cut source side, keep the
 connected component of maximum density, ties broken by minimum VertexId.
 
-The minimal densest subgraphs are read in one kernel call at lambda = af: one
-flow per root, whose residual graph holds every densest set containing that
-root.
+The minimal densest subgraphs come with af itself.  The last sweep of the
+af loop, at lambda = af, proves that nothing is denser by one flow per root,
+whose residual graph holds every densest set containing that root, and the
+certificate keeps the minimal ones that the sweep reads; so listing them, or
+a prime partition's level 0, costs no flow beyond af.  A contraction minor's
+are read by one sweep at af.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from .multigraph import EdgeId, Multigraph, VertexId
 
 @dataclass(frozen=True)
 class DensityCertificate:
-    """Exact fractional arboricity plus a connected vertex set attaining it."""
+    """Exact fractional arboricity, a connected vertex set attaining it, and
+    the minimal densest vertex sets, ordered by their sorted vertex lists."""
 
     value: Fraction
     witness: frozenset[VertexId]
+    minimal: tuple[frozenset[VertexId], ...]
 
 
 def density(g: Multigraph) -> Fraction:
@@ -85,16 +90,19 @@ def _compact(g: Multigraph) -> tuple[list[VertexId], list[int], list[int]]:
     return verts, us, vs
 
 
-def _witness_above(g: Multigraph, p: int, q: int) -> frozenset[VertexId] | None:
-    """Connected vertex set with density > p/q, or None."""
+def _sweep(
+    g: Multigraph, p: int, q: int
+) -> tuple[frozenset[VertexId] | None, tuple[frozenset[VertexId], ...]]:
+    """One kernel sweep at p/q: a connected vertex set with density > p/q and
+    no sets, or None and the minimal vertex sets of density exactly p/q."""
     verts, us, vs = _compact(g)
-    raw = kernels.sweep(len(verts), us, vs, p, q)
+    raw, minimal = kernels.sweep(len(verts), us, vs, p, q)
     if raw is None:
-        return None
+        return None, tuple(frozenset(verts[i] for i in mds) for mds in minimal)
     witness = _best_component(g, [verts[i] for i in raw])
     if _component_density(g.induced_by_vertices(witness), witness) * q <= p:
         raise InternalInvariantError("flow witness does not exceed the threshold")
-    return witness
+    return witness, ()
 
 
 def exceeds_density(
@@ -106,17 +114,19 @@ def exceeds_density(
         raise GraphInputError("density threshold must be nonnegative")
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
-    return _witness_above(g, lam.numerator, lam.denominator)
+    return _sweep(g, lam.numerator, lam.denominator)[0]
 
 
 def fractional_arboricity(g: Multigraph) -> DensityCertificate:
-    """Exact af(G) with a connected witness attaining it.
+    """Exact af(G) with a connected witness attaining it and the minimal
+    densest sets.
 
     Iterates the density improvement step: starting from the density of the
     graph itself, repeatedly ask the decision oracle for a strictly denser
     connected subgraph and move the threshold to its density.  Each iterate
     is a strictly larger rational with denominator at most n-1, so the loop
-    terminates at the exact maximum.
+    terminates at the exact maximum.  The last sweep, which proves that
+    nothing is denser, reads the minimal densest sets.
     """
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
@@ -129,9 +139,9 @@ def fractional_arboricity(g: Multigraph) -> DensityCertificate:
             lam, witness = d, comp
     assert witness is not None
     while True:
-        better = _witness_above(g, lam.numerator, lam.denominator)
+        better, minimal = _sweep(g, lam.numerator, lam.denominator)
         if better is None:
-            return DensityCertificate(lam, witness)
+            return DensityCertificate(lam, witness, minimal)
         witness = better
         lam = _component_density(g.induced_by_vertices(better), better)
 
@@ -148,29 +158,36 @@ def minimal_densest_subgraph(g: Multigraph) -> frozenset[VertexId]:
     return enumerate_minimal_densest_subgraphs(g)[0]
 
 
-def _enumerate_mds(g: Multigraph, lam: Fraction) -> list[Multigraph]:
+def _enumerate_mds(
+    g: Multigraph,
+    lam: Fraction,
+    minimal: tuple[frozenset[VertexId], ...] | None = None,
+) -> list[Multigraph]:
     """The minimal connected induced subgraphs of ``g`` of density
     lam >= af(g) (the minimal densest subgraphs when lam = af(g)), ordered by
-    their sorted vertex lists; empty when no subgraph attains lam."""
-    verts, us, vs = _compact(g)
-    raw = kernels.minimal_densest(len(verts), us, vs, lam.numerator, lam.denominator)
-    if raw is None:
-        raise InternalInvariantError("a subgraph is denser than the given af")
+    their sorted vertex lists; empty when no subgraph attains lam.
+
+    ``minimal`` gives their vertex sets when the caller has them already, as
+    a certificate of ``fractional_arboricity(g)`` does; by default one sweep
+    at lam reads them.  Either way each set is checked here."""
+    if minimal is None:
+        denser, minimal = _sweep(g, lam.numerator, lam.denominator)
+        if denser is not None:
+            raise InternalInvariantError("a subgraph is denser than the given af")
     # each set's induced edges in one pass over the level's edges; distinct
     # minimal densest sets share at most one vertex, so the intersection
     # below names at most one set
     member: dict[VertexId, set[int]] = {}
-    for k, mds in enumerate(raw):
-        for i in mds:
-            member.setdefault(verts[i], set()).add(k)
-    inside: list[dict[EdgeId, tuple[VertexId, VertexId]]] = [{} for _ in raw]
+    for k, mds in enumerate(minimal):
+        for v in mds:
+            member.setdefault(v, set()).add(k)
+    inside: list[dict[EdgeId, tuple[VertexId, VertexId]]] = [{} for _ in minimal]
     for eid, (a, b) in g.edges.items():
         if a in member and b in member:
             for k in member[a] & member[b]:
                 inside[k][eid] = (a, b)
     found = [
-        Multigraph(edges, vertices=(verts[i] for i in mds))
-        for edges, mds in zip(inside, raw)
+        Multigraph(edges, vertices=mds) for edges, mds in zip(inside, minimal)
     ]
     for sub in found:
         # one components() pass: connected means one component, and then the
@@ -189,5 +206,5 @@ def enumerate_minimal_densest_subgraphs(
         raise DisconnectedGraphError("graph must be connected")
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
-    lam = fractional_arboricity(g).value
-    return [sub.vertices for sub in _enumerate_mds(g, lam)]
+    cert = fractional_arboricity(g)
+    return [sub.vertices for sub in _enumerate_mds(g, cert.value, cert.minimal)]

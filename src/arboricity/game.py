@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .density import fractional_arboricity
+from .density import DensityCertificate, fractional_arboricity
 from .errors import (
     DisconnectedGraphError,
     EmptyCoreError,
@@ -52,13 +52,18 @@ def gamma(g: Multigraph, s: Iterable[EdgeId]) -> int:
 
 def core_nonempty(g: Multigraph) -> CoreStatus:
     """Nonempty iff af(G) equals the arboricity, i.e. af(G) is an integer."""
+    return _core_status(g)[0]
+
+
+def _core_status(g: Multigraph) -> tuple[CoreStatus, DensityCertificate]:
+    """``core_nonempty`` together with the af certificate it is read from."""
     if not g.is_connected():
         raise DisconnectedGraphError("graph must be connected")
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
-    af = fractional_arboricity(g).value
-    a = math.ceil(af)
-    return CoreStatus(af == a, af, a)
+    cert = fractional_arboricity(g)
+    a = math.ceil(cert.value)
+    return CoreStatus(cert.value == a, cert.value, a), cert
 
 
 def core_membership(g: Multigraph, x: Mapping[EdgeId, Fraction | int]) -> CoreCheckResult:

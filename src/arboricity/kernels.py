@@ -48,39 +48,53 @@ the freed root's edges at the source instead of all m.  The max-flow value
 and the closed sets of the residual graph are the same for every max flow
 (Picard & Queyranne, 1980), so no answer depends on where the flow started.
 
-``sweep`` asks whether a connected vertex set is denser than p/q.  It peels
-vertices of degree <= p/q, runs one flow with no root as a shortcut, then one
-per root, and returns the source side of a min cut witnessing the first
-successful trial (which may induce several components; the caller picks
-one), or None.  A failed root proves no witness contains it.
+``sweep`` is the kernel's one walk.  It asks whether a connected vertex set
+is denser than p/q: it peels vertices of degree <= p/q, which no such set
+needs, runs one flow with no root as a shortcut, then one per root, and at
+the first short trial returns the source side of its min cut (which may
+induce several components; the caller picks one) and no sets.  A trial that
+is not short proves that no witness contains its root.  When no trial is
+short, p/q >= af, and the walk has read on the way every inclusion-minimal
+vertex set of density exactly p/q; there is none when p/q > af.  So the
+sweep that proves af also lists the minimal densest sets.
 
-``minimal_densest`` reads, at p/q = af, every minimal densest vertex set.
-At af the min cuts of a root's flow are exactly the cuts of the vertex sets
-{}, {r} and the densest sets containing r, and by Picard & Queyranne (1980)
-these are the closed sets of the residual graph; so the smallest densest set
-containing r and a vertex w is what w reaches in the residual graph, unless
-w reaches the sink.  A trial at af that is not short leaves no edge with
-room, so each edge e = (x, y) passes q units in all to x and y, and no flow
-enters r, which has no spare.  Hence x reaches y through e exactly when e
-sends flow to x, and e leads nowhere else but to the source, where no open
-arc leaves.  A root's sets are the *bottom* SCCs of the vertices off the
-sink side, each with r added: those that hold a live vertex other than r
-and reach no other SCC holding one.  Such an SCC plus r is exactly what
-each of its vertices reaches: what it reaches holds r, since a cut whose
-vertex set is not empty and misses r costs more than the max flow, q per
-live edge.  No other set is needed: reach(w) contains reach(w') exactly when
-w' lies in reach(w), and from any w the SCCs it reaches include a bottom
-one, so every skipped set contains a listed one and the closing minimality
-filter returns the same list.  Since every vertex of a bottom SCC C reaches
-r, the last vertex before r on such a path is a neighbour y of r whose edge
-sends y flow, and y lies in C, the only SCC that C reaches.  So the bottom
-SCCs are found by one Tarjan search from each such y, given up at the first
-vertex with spare or that an earlier search found; a search not given up
-ends at its first completed SCC, which is a bottom one.  A root's work is
-thus bounded by what its neighbours reach.  A minimal densest set is found
-at its first root: no earlier root lies in it, and every vertex of it has
-degree >= af inside it, so the peel (strict here, since a 2-vertex set of af
-parallel edges has degree exactly af) keeps it.
+After a root r's trial that is not short, nothing live that contains r is
+denser than p/q, so the min cuts of its flow are exactly the cuts of the
+vertex sets {}, {r} and the sets of density p/q containing r, and by Picard
+& Queyranne (1980) these are the closed sets of the residual graph; so the
+smallest such set containing r and a vertex w is what w reaches in the
+residual graph, unless w reaches the sink.  The trial leaves no edge with
+room, so each live edge e = (x, y) passes q units in all to x and y, and no
+flow enters r, which has no spare.  Hence x reaches y through e exactly
+when e sends flow to x, and e leads nowhere else but to the source, where
+no open arc leaves.  A root's sets are the *bottom* SCCs of the vertices
+off the sink side, each with r added: those that hold a live vertex other
+than r and reach no other SCC holding one.  Such an SCC plus r is exactly
+what each of its vertices reaches: what it reaches holds r, since a cut
+whose vertex set is not empty and misses r costs more than the max flow, q
+per live edge.  No other set is needed: reach(w) contains reach(w') exactly
+when w' lies in reach(w), and from any w the SCCs it reaches include a
+bottom one, so every skipped set contains a listed one and the closing
+minimality filter returns the same list.  Since every vertex of a bottom
+SCC C reaches r, the last vertex before r on such a path is a neighbour y
+of r whose edge sends y flow, and y lies in C, the only SCC that C reaches.
+So the bottom SCCs are found by one Tarjan search from each such y, given
+up at the first vertex with spare or that an earlier search found; a search
+not given up ends at its first completed SCC, which is a bottom one.  A
+root's work is thus bounded by what its neighbours reach.
+
+A minimal densest set H with |H| >= 3 is found at its first root: no
+earlier root lies in it, and the peel keeps it, since each vertex v of H
+has inner degree > af.  Were it at most af, H - v would keep at least
+af * (|H| - 2) edges on |H| - 1 vertices: connected, it would be denser than
+af, or densest and smaller than H; split into c >= 2 components, one of
+them would have density at least af * (|H| - 2) / (|H| - 1 - c) > af.  The
+only minimal densest sets the peel can drop are pairs: a pair is densest
+when it is joined by exactly af parallel edges, and then each of its ends
+has inner degree af.  So when q = 1 one O(m) scan adds every pair joined by
+exactly p parallel edges before the minimality filter, which then also
+drops each listed set that holds such a pair.  No pair has density p/q
+when q > 1.
 
 ``active()`` returns this module and ``NAME`` names it, so code that
 inspects the kernel (its ``NAME``, its ``_trial``, called once per flow)
@@ -90,7 +104,7 @@ looks it up at call time.
 from __future__ import annotations
 
 import sys
-from collections import deque
+from collections import Counter, deque
 from types import ModuleType
 from typing import Callable, Iterator, Sequence
 
@@ -269,9 +283,9 @@ def _trial(walk: _Walk) -> bool:
 
 def _bottoms(walk: _Walk, r: int) -> list[list[int]]:
     """The vertices, ascending, of each bottom SCC of the last trial's
-    residual graph with r added, for a trial at af that is not short with
-    root r.  A bottom SCC holds live vertices other than r, is off the sink
-    side, and reaches no other SCC that holds such vertices.
+    residual graph with r added, for a trial that is not short with root r.
+    A bottom SCC holds live vertices other than r, is off the sink side, and
+    reaches no other SCC that holds such vertices.
 
     x has an arc to y for each edge that sends x flow; arcs into r, which no
     flow enters, are ignored.  One Tarjan search runs from each neighbour y
@@ -325,24 +339,18 @@ def _bottoms(walk: _Walk, r: int) -> list[list[int]]:
 
 def sweep(
     n: int, us: Sequence[int], vs: Sequence[int], p: int, q: int
-) -> list[int] | None:
-    """Find source-side vertices of a witness for density > p/q, or None."""
+) -> tuple[list[int] | None, list[list[int]]]:
+    """``(witness, [])`` with the source-side vertices of a witness for
+    density > p/q, or ``(None, minimal)`` with the inclusion-minimal vertex
+    sets of density exactly p/q, ascending by their sorted vertex lists."""
     walk = _Walk(n, us, vs, p, q, lambda d: q * d > p)
-    for _ in walk.roots(-1):
-        if _trial(walk):
-            return [x for x in range(n) if walk.level[x] >= 0]
-    return None
-
-
-def minimal_densest(
-    n: int, us: Sequence[int], vs: Sequence[int], p: int, q: int
-) -> list[list[int]] | None:
-    """The inclusion-minimal vertex sets of density exactly p/q, ascending by
-    their sorted vertex lists; None when some set is denser than p/q."""
     found: set[frozenset[int]] = set()
-    walk = _Walk(n, us, vs, p, q, lambda d: q * d >= p)
-    for r in walk.roots(0):
+    for r in walk.roots(-1):
         if _trial(walk):
-            return None
-        found.update(frozenset(dense) for dense in _bottoms(walk, r))
-    return sorted(sorted(d) for d in found if not any(m < d for m in found))
+            return [x for x in range(n) if walk.level[x] >= 0], []
+        if r >= 0:
+            found.update(frozenset(dense) for dense in _bottoms(walk, r))
+    if q == 1:  # the sets the peel can drop: pairs of exactly p parallel edges
+        bundles = Counter((min(e), max(e)) for e in zip(us, vs))
+        found.update(frozenset(e) for e, k in bundles.items() if k == p)
+    return None, sorted(sorted(d) for d in found if not any(m < d for m in found))

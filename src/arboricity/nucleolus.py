@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import EmptyCoreError, GraphInputError, InternalInvariantError
-from .game import Allocation, CoreStatus, core_nonempty
+from .game import Allocation, CoreStatus, _core_status
 from .multigraph import EdgeId, Multigraph
 from .prime import (
     AncestorPoset,
@@ -116,14 +116,15 @@ def solve_nucleolus(g: Multigraph, variant: bool = False) -> NucleolusSolution:
 
     The fractional arboricity is computed once, by the core test.  That test
     comes first, so an empty core fails before any prime set is built; the
-    prime partition then takes the core test's af, which its level 0 proves.
+    prime partition then takes the core test's af certificate, whose minimal
+    densest sets are its level 0.
     """
-    status = core_nonempty(g)
+    status, cert = _core_status(g)
     if not status.nonempty and not variant:
         raise EmptyCoreError(
             f"core empty: af={status.af}, a={status.arboricity}"
         )
-    pp = prime_partition(g, status.af)
+    pp = prime_partition(g, cert)
     assignment = peel_assignment(pp, _ancestor_order(g, pp))
     alloc: Allocation = {e: Fraction(0) for e in g.edge_ids}
     for ps in pp.prime_sets:

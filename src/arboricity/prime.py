@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .density import _enumerate_mds, fractional_arboricity
+from .density import DensityCertificate, _enumerate_mds, fractional_arboricity
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
 from .multigraph import EdgeId, Multigraph, VertexId
 
@@ -65,13 +65,17 @@ class AncestorPoset:
         return frozenset(seen)
 
 
-def prime_partition(g: Multigraph, af: Fraction | None = None) -> PrimePartition:
+def prime_partition(
+    g: Multigraph, af: DensityCertificate | Fraction | None = None
+) -> PrimePartition:
     """Prime sets by levels plus the non-prime set E0.
 
-    ``af`` is the fractional arboricity of g when the caller already has it;
-    by default it is computed here.  Level 0 proves the value it is given: a
-    subgraph denser than ``af`` fails a kernel trial, and an ``af`` above the
-    true value leaves level 0 with no minimal densest set; both raise
+    ``af`` is the fractional arboricity of g when the caller already has it:
+    the certificate ``fractional_arboricity(g)``, whose minimal densest sets
+    are level 0, or the bare value.  By default the certificate is computed
+    here.  Level 0 proves a bare value by one sweep at it: a subgraph denser
+    than ``af`` fails a kernel trial, and an ``af`` above the true value
+    leaves level 0 with no minimal densest set; both raise
     ``InternalInvariantError``.
     """
     if not g.is_connected():
@@ -79,12 +83,18 @@ def prime_partition(g: Multigraph, af: Fraction | None = None) -> PrimePartition
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
 
-    af = fractional_arboricity(g).value if af is None else Fraction(af)
+    if af is None:
+        af = fractional_arboricity(g)
+    if isinstance(af, DensityCertificate):
+        af, minimal = af.value, af.minimal
+    else:
+        af, minimal = Fraction(af), None
     collected: list[tuple[frozenset[EdgeId], int, int]] = []  # (edges, level, n_p)
     level = 0
     current = g
     while current.num_edges():
-        found = _enumerate_mds(current, af)
+        found = _enumerate_mds(current, af, minimal)
+        minimal = None  # later levels sweep their minor
         if not found:
             if not level:
                 raise InternalInvariantError("no subgraph attains the given af")

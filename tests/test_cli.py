@@ -1,7 +1,11 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -322,7 +326,7 @@ def test_output_to_a_directory_is_an_input_error(tmp_path, capsys):
 def test_cli_runs_the_pipeline_once(tmp_path, capsys, monkeypatch, make):
     # prime-partition costs what prime_partition costs, and nucleolus costs
     # the same: its core test's af is the only one, and prime_partition
-    # takes it instead of proving it again
+    # reads level 0 from its certificate instead of sweeping again
     g = make()
     path = write(tmp_path, "g.txt", edge_list_text(g))
     calls = {"sweep": 0, "_trial": 0}
@@ -348,3 +352,20 @@ def test_cli_runs_the_pipeline_once(tmp_path, capsys, monkeypatch, make):
     assert partition["sweep"] > 0
     assert partition == cost(prime_partition, g)
     assert cost(main, ["nucleolus", path]) == partition
+
+
+def test_importing_the_cli_leaves_the_oracle_unloaded():
+    # only `arboricity oracle` needs the brute-force oracle and its simplex,
+    # so the other commands do not pay to import them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, arboricity.cli; "
+        "print([m for m in ('arboricity.oracle', 'arboricity.simplex') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,12 +1,12 @@
-"""The flow kernel: pinned sweeps and enumerations, extreme thresholds, long
-augmenting paths, and the benchmark's hooks."""
+"""The flow kernel: pinned sweeps and the minimal sets they read, extreme
+thresholds, long augmenting paths, and the benchmark's hooks."""
 
 import importlib.util
 import json
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +26,10 @@ from arboricity.oracle import brute_fractional_arboricity
 
 from conftest import k4, random_connected, two_k4_bridge
 
+# the benchmark's structured generators, read only
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipeline_bench"))
+import workloads  # noqa: E402
+
 BIG = 10**30
 
 
@@ -34,18 +38,24 @@ BIG = 10**30
     [(1, 1, [0, 1, 2, 3]), (3, 2, [0, 1]), (2, 1, None), (5, 3, [0, 1])],
 )
 def test_sweep_on_parallel_edges(p, q, expected):
-    assert kernels.sweep(4, [0, 0, 1, 2, 2], [1, 1, 2, 3, 3], p, q) == expected
+    assert kernels.sweep(4, [0, 0, 1, 2, 2], [1, 1, 2, 3, 3], p, q)[0] == expected
+
+
+def _minimal(n, us, vs, p, q):
+    """The sweep's minimal sets at p/q, or None when it finds a witness."""
+    witness, minimal = kernels.sweep(n, us, vs, p, q)
+    return None if witness is not None else minimal
 
 
 @pytest.mark.parametrize(
     "p, q, expected",
-    # at af = 2 vertex 0 has degree exactly 2: a peel at degree <= p/q would
-    # lose {0, 1}; at 3/2 < af the flow finds a denser set
+    # at af = 2 vertices 0 and 3 have degree exactly 2, so the peel at
+    # degree <= p/q deletes them and then 1 and 2, and only the pair scan
+    # reads {0, 1} and {2, 3}; at 3/2 < af the flow finds a denser set
     [(2, 1, [[0, 1], [2, 3]]), (5, 2, []), (3, 2, None)],
 )
 def test_minimal_densest_on_parallel_edges(p, q, expected):
-    got = kernels.minimal_densest(4, [0, 0, 1, 2, 2], [1, 1, 2, 3, 3], p, q)
-    assert got == expected
+    assert _minimal(4, [0, 0, 1, 2, 2], [1, 1, 2, 3, 3], p, q) == expected
 
 
 def test_long_augmenting_paths(tmp_path):
@@ -207,9 +217,9 @@ def _assert_max_flow(walk):
 
 
 def _check_trials(monkeypatch, cases, check):
-    """Run ``sweep`` and ``minimal_densest`` on each (n, us, vs, threshold)
-    case, calling ``check(walk, short, root, threshold)`` after every trial
-    (root -1: no root)."""
+    """Run ``sweep`` on each (n, us, vs, threshold) case, calling
+    ``check(walk, short, root, threshold)`` after every trial (root -1: no
+    root)."""
     roots = {}
     free, trial = kernels._Walk.free, kernels._trial
 
@@ -228,13 +238,13 @@ def _check_trials(monkeypatch, cases, check):
     monkeypatch.setattr(kernels, "_trial", checked)
     for n, us, vs, lam in cases:
         kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
-        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_dinic_returns_a_max_flow_on_random_networks(seed, monkeypatch):
-    # a seeded multigraph at its af and at a random threshold, from about a
-    # quarter to four times its density m/(n - 1): every trial of the four
+    # a seeded multigraph at its af, at a random threshold from about a
+    # quarter to four times its density m/(n - 1), and at 1/2, where no
+    # vertex is peeled before the first trial: every trial of the three
     # walks, cold or warm, short or not, must leave a max flow
     rng = random.Random(seed)
     m = rng.randint(1, 60)
@@ -249,7 +259,8 @@ def test_dinic_returns_a_max_flow_on_random_networks(seed, monkeypatch):
         trials.append(short)
 
     af = fractional_arboricity(g).value
-    _check_trials(monkeypatch, [(n, us, vs, af), (n, us, vs, lam)], check)
+    cases = [(n, us, vs, af), (n, us, vs, lam), (n, us, vs, Fraction(1, 2))]
+    _check_trials(monkeypatch, cases, check)
     assert trials
 
 
@@ -287,8 +298,23 @@ def _warm_sides(walk):
     return side
 
 
+def _reference_minimal_densest(n, us, vs, p, q):
+    """The kernel's replaced second walk, kept as a reference for the sets
+    that ``sweep`` reads: the inclusion-minimal vertex sets of density
+    exactly p/q, or None when some set is denser.  It peels only below
+    degree p/q, so it keeps a pair of exactly p/q parallel edges, and it
+    has no no-root trial."""
+    found: set[frozenset[int]] = set()
+    walk = kernels._Walk(n, us, vs, p, q, lambda d: q * d >= p)
+    for r in walk.roots(0):
+        if kernels._trial(walk):
+            return None
+        found.update(frozenset(dense) for dense in kernels._bottoms(walk, r))
+    return sorted(sorted(d) for d in found if not any(m < d for m in found))
+
+
 def _per_vertex_minimal_densest(n, us, vs, p, q):
-    """``kernels.minimal_densest`` with one forward search on the whole
+    """``_reference_minimal_densest`` with one forward search on the whole
     network per live vertex other than the root, where the kernel reads one
     set per bottom SCC from the vertices alone."""
     found = set()
@@ -332,14 +358,69 @@ def test_minimal_densest_matches_the_per_vertex_searches():
     for g, lam in pairs:
         _, us, vs = _compact(g)
         n, p, q = g.num_vertices(), lam.numerator, lam.denominator
-        got = kernels.minimal_densest(n, us, vs, p, q)
+        got = _minimal(n, us, vs, p, q)
         assert got == _per_vertex_minimal_densest(n, us, vs, p, q)
+        assert got == _reference_minimal_densest(n, us, vs, p, q)
         nonempty += bool(got)
     assert nonempty > len(pairs) // 3
 
 
+def _bundle_tree(rng):
+    """A random tree whose edges are bundles of 1 to 3 parallel edges, plus
+    up to two single edges: where af is an integer k, each bundle of k edges
+    is a minimal densest pair, whose ends the sweep's peel may delete."""
+    n = rng.randint(2, 9)
+    edges = []
+    for v in range(1, n):
+        edges += [(rng.randrange(v), v)] * rng.randint(1, 3)
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+    return Multigraph.from_edge_list(edges)
+
+
+def _minors(g):
+    """g, then the minor left after each level of its prime partition that
+    still has edges."""
+    yield g
+    pp = prime_partition(g)
+    below: set[int] = set()
+    for level in range(1 + max(ps.level for ps in pp.prime_sets)):
+        below |= {e for ps in pp.prime_sets if ps.level == level for e in ps.edges}
+        minor = g.contract(below).as_multigraph()
+        if minor.num_edges():
+            yield minor
+
+
+def test_sweep_matches_the_replaced_walk():
+    # the sweep's minimal sets against the walk it replaced and against one
+    # search per vertex, where its strict peel and its pair scan matter:
+    # pairs of exactly af parallel edges at level 0 and on contracted minors
+    # (the bundles of a K4 block tree or pair hierarchy above level 0), and
+    # fractional af, where no pair is densest
+    rng = random.Random(5)
+    graphs = [_bundle_tree(rng) for _ in range(300)]
+    graphs += [random_connected(rng, n_max=9, m_max=16) for _ in range(500)]
+    insts = [workloads.block_tree(rng, b) for b in range(2, 9)]
+    insts += [workloads.pair_hierarchy(rng, d) for d in range(1, 4)]
+    graphs += [Multigraph.from_edge_list(inst.edges) for inst in insts]
+    counts = Counter()
+    for g in graphs:
+        af = fractional_arboricity(g).value
+        p, q = af.numerator, af.denominator
+        for level, h in enumerate(_minors(g)):
+            _, us, vs = _compact(h)
+            n = h.num_vertices()
+            got = _minimal(n, us, vs, p, q)
+            assert got == _reference_minimal_densest(n, us, vs, p, q)
+            assert got == _per_vertex_minimal_densest(n, us, vs, p, q)
+            counts["pairs", level > 0] += sum(len(d) == 2 for d in got)
+            counts["fractional", level > 0] += q > 1 and bool(got)
+    assert counts["pairs", False] > 300 and counts["pairs", True] > 40, counts
+    assert counts["fractional", False] > 150, counts
+
+
 def _densest_by_edge_flows(n, us, vs, p, q):
-    """Test-only reference for ``kernels.minimal_densest`` at p/q = af, with
+    """Test-only reference for the minimal sets of ``kernels.sweep`` at
+    p/q = af, with
     its own Edmonds-Karp max flow on a fresh network per distinct edge {u, v}.
 
     The source feeds each edge q units, an edge passes them on to its two ends
@@ -435,7 +516,7 @@ def test_minimal_densest_matches_an_edmonds_karp_reference():
         n, p, q = g.num_vertices(), af.numerator, af.denominator
         expected = _densest_by_edge_flows(n, us, vs, p, q)
         assert expected  # af is attained and nothing is denser
-        assert kernels.minimal_densest(n, us, vs, p, q) == expected
+        assert _minimal(n, us, vs, p, q) == expected
         several += len(expected) > 1
     assert several >= 15
 
@@ -558,12 +639,12 @@ def test_flow_is_conserved_on_every_slot(monkeypatch):
 
 
 def _walk_cases():
-    """(n, us, vs, threshold) for 300 seeded multigraphs with parallel edges,
+    """(n, us, vs, threshold) for 700 seeded multigraphs with parallel edges,
     at af - 1/2n, af, af + 1/n^2, the whole graph's density and halfway to
-    it: the walks of ``sweep`` and ``minimal_densest`` on these start cold,
-    run warm for many roots, and end short or exhausted."""
+    it: the walks of ``sweep`` on these start cold, run warm for many roots,
+    and end short or exhausted."""
     cases = []
-    for seed in range(300):
+    for seed in range(700):
         g = random_connected(random.Random(seed), n_max=10, m_max=24)
         af = fractional_arboricity(g).value
         _, us, vs = _compact(g)
@@ -575,10 +656,10 @@ def _walk_cases():
 
 
 def test_bottoms_read_the_residual_graph_on_vertices(monkeypatch):
-    # after every root trial of minimal_densest that is not short: no flow
-    # enters the root, and _bottoms returns exactly the inclusion-minimal
-    # sets that a live vertex other than the root reaches on the whole
-    # network, over the vertices that do not reach the sink
+    # after every root trial of sweep that is not short: no flow enters the
+    # root, and _bottoms returns exactly the inclusion-minimal sets that a
+    # live vertex other than the root reaches on the whole network, over the
+    # vertices that do not reach the sink
     bottoms = kernels._bottoms
     counts = {"roots": 0, "sets": 0, "several": 0}
 
@@ -601,13 +682,13 @@ def test_bottoms_read_the_residual_graph_on_vertices(monkeypatch):
         return result
 
     cases = _walk_cases()
-    for seed in range(30):
+    for seed in range(200):
         g = _k4_blocks(random.Random(seed))
         _, us, vs = _compact(g)
         cases.append((g.num_vertices(), us, vs, fractional_arboricity(g).value))
     monkeypatch.setattr(kernels, "_bottoms", checked)
     for n, us, vs, lam in cases:
-        kernels.minimal_densest(n, us, vs, lam.numerator, lam.denominator)
+        kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
     assert counts["roots"] > 1000 and counts["sets"] > 800 and counts["several"] > 100, counts
 
 

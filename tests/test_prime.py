@@ -1,3 +1,4 @@
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -15,9 +16,13 @@ from arboricity import (
     PrimePartition,
     ancestors,
     decompose_densest_subgraph,
+    enumerate_minimal_densest_subgraphs,
     fractional_arboricity,
+    kernels,
+    prime,
     prime_partition,
 )
+from arboricity.nucleolus import solve_nucleolus
 from arboricity.oracle import enumerate_densest_subgraphs
 from arboricity.prime import _ancestor_order
 
@@ -149,7 +154,6 @@ def k4_pairs(rng) -> Multigraph:
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_parents_are_incomparable_ancestors(seed):
-    import random
 
     rng = random.Random(seed)
     for g in (random_connected(rng, n_max=9, m_max=16), k4_pairs(rng)):
@@ -241,7 +245,6 @@ def test_decompose_rejects_non_densest():
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_partition_invariants_random(seed):
-    import random
 
     rng = random.Random(seed)
     g = random_connected(rng, n_max=7, m_max=11)
@@ -284,12 +287,59 @@ def test_partition_invariants_random(seed):
 @pytest.mark.parametrize("make", [triangle_pendant, two_k4_bridge, lambda: k4_tower(5)])
 def test_prime_partition_takes_the_callers_af(make):
     g = make()
-    af = fractional_arboricity(g).value
-    assert prime_partition(g, af) == prime_partition(g)
+    cert = fractional_arboricity(g)
+    af = cert.value
+    assert prime_partition(g, af) == prime_partition(g) == prime_partition(g, cert)
     with pytest.raises(InternalInvariantError, match="no subgraph attains the given af"):
         prime_partition(g, af + Fraction(1, 7))
     with pytest.raises(InternalInvariantError, match="denser than the given af"):
         prime_partition(g, af - Fraction(1, 7))
+
+
+@pytest.mark.parametrize(
+    "inst, levels",
+    [
+        (workloads.block_tree(random.Random(1), 30), 2),
+        (workloads.pair_hierarchy(random.Random(1), 5), 6),
+    ],
+    ids=["block_tree", "pair_hierarchy"],
+)
+def test_level_zero_reads_the_af_sweep(inst, levels, monkeypatch):
+    # the sweep that proves af also reads level 0: a request sweeps once per
+    # step of the af loop and once per level above 0, and level 0 runs no
+    # flow of its own
+    g = Multigraph.from_edge_list(inst.edges)
+    sweeps = []  # the threshold of each kernel sweep
+    sweep = kernels.sweep
+
+    def counted(n, us, vs, p, q):
+        sweeps.append(Fraction(p, q))
+        return sweep(n, us, vs, p, q)
+
+    monkeypatch.setattr(kernels, "sweep", counted)
+    af = fractional_arboricity(g).value
+    steps = len(sweeps)
+    assert sweeps.count(af) == 1 and sweeps[-1] == af
+    sweeps.clear()
+    assert enumerate_minimal_densest_subgraphs(g)
+    assert len(sweeps) == steps and sweeps.count(af) == 1
+
+    per_level = []  # the sweeps inside each level's enumeration
+    enumerate_mds = prime._enumerate_mds
+
+    def recorded(*args):
+        before = len(sweeps)
+        found = enumerate_mds(*args)
+        per_level.append(len(sweeps) - before)
+        return found
+
+    monkeypatch.setattr(prime, "_enumerate_mds", recorded)
+    for run in (prime_partition, solve_nucleolus):
+        sweeps.clear()
+        per_level.clear()
+        run(g)
+        assert per_level == [0] + [1] * (levels - 1)
+        assert len(sweeps) == steps + levels - 1
 
 
 def _reference_ancestor_order(
@@ -340,7 +390,6 @@ def _check_against_the_reference(g: Multigraph, part: PrimePartition) -> None:
 
 
 def test_ancestor_order_matches_the_reference_replay():
-    import random
 
     rng = random.Random(13)
     graphs = [k4_tower(levels) for levels in range(1, 61)]
@@ -375,7 +424,6 @@ def test_replays_union_a_bounded_number_of_edges(monkeypatch):
     # each replay only the sets on its prime set's path up the forest, so
     # on a wide tree, a deep hierarchy and a tall tower all of them
     # together stay within 4 m; a replay over whole levels would not
-    import random
 
     from arboricity import prime
 
