@@ -54,20 +54,20 @@ def _read_text(path: str) -> str:
 def parse_graph_file(path: str) -> Multigraph:
     pairs: list[tuple[int, int]] = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = stripped.split()
         if len(parts) != 2:
             raise GraphInputError(f"{path}:{lineno}: expected two vertex labels")
+        a, b = parts
         # ASCII digits only: int() would also read "1_0", "+2" and other
         # scripts' digits
-        digits = [label.removeprefix("-") for label in parts]
-        if not all(d.isascii() and d.isdigit() for d in digits):
-            raise GraphInputError(f"{path}:{lineno}: vertex labels must be integers")
-        if digits != parts:
+        if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+            digits = [label.removeprefix("-") for label in parts]
+            if not all(d.isascii() and d.isdigit() for d in digits):
+                raise GraphInputError(f"{path}:{lineno}: vertex labels must be integers")
             raise GraphInputError(f"{path}:{lineno}: vertex labels must be nonnegative")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = int(a), int(b)
         if u == v:
             raise GraphInputError(f"{path}:{lineno}: self-loop {u} {v}")
         pairs.append((u, v))

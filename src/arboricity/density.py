@@ -19,7 +19,7 @@ af loop, at lambda = af, proves that nothing is denser by one flow per root,
 whose residual graph holds every densest set containing that root, and the
 certificate keeps the minimal ones that the sweep reads; so listing them, or
 a prime partition's level 0, costs no flow beyond af.  A contraction minor's
-are read by one sweep at af.
+are read by one sweep at af, on the minor's compact arrays.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from . import kernels
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
-from .multigraph import EdgeId, Multigraph, VertexId
+from .multigraph import Multigraph, VertexId, _compact, _find
 
 
 @dataclass(frozen=True)
@@ -52,57 +53,41 @@ def density(g: Multigraph) -> Fraction:
     return Fraction(g.num_edges(), n - c)
 
 
-def _component_density(g: Multigraph, comp: frozenset[VertexId]) -> Fraction:
-    if len(comp) <= 1:
-        return Fraction(0)
-    m = sum(1 for u, v in g.edges.values() if u in comp)
-    return Fraction(m, len(comp) - 1)
-
-
-def _best_component(g: Multigraph, vertices: list[VertexId]) -> frozenset[VertexId]:
-    """Max-density component of the subgraph induced by ``vertices``.
+def _best_component(g: Multigraph) -> tuple[frozenset[VertexId], Fraction]:
+    """The component of g of maximum density, and that density.
 
     Ties broken by minimum VertexId; this is the pinned witness-extraction
     rule for every flow-based decision.
     """
-    sub = g.induced_by_vertices(vertices)
-    comps = sub.components()
-    best = None
-    best_d = None
-    for comp in comps:  # components() is ordered by min id, so first win = tie rule
-        d = _component_density(sub, comp)
-        if best_d is None or d > best_d:
+    comps = g.components()  # ordered by min id, so first win = tie rule
+    label = {v: k for k, comp in enumerate(comps) for v in comp}
+    inside = [0] * len(comps)
+    for u, _ in g.edges.values():
+        inside[label[u]] += 1
+    best, best_d = comps[0], Fraction(-1)
+    for comp, m in zip(comps, inside):
+        d = Fraction(m, len(comp) - 1) if len(comp) > 1 else Fraction(0)
+        if d > best_d:
             best, best_d = comp, d
-    assert best is not None
-    return best
-
-
-def _compact(g: Multigraph) -> tuple[list[VertexId], list[int], list[int]]:
-    """Sorted vertices and, per edge in id order, its endpoints' indices."""
-    verts = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    us: list[int] = []
-    vs: list[int] = []
-    for eid in sorted(g.edges):
-        a, b = g.endpoints(eid)
-        us.append(index[a])
-        vs.append(index[b])
-    return verts, us, vs
+    return best, best_d
 
 
 def _sweep(
     g: Multigraph, p: int, q: int
-) -> tuple[frozenset[VertexId] | None, tuple[frozenset[VertexId], ...]]:
-    """One kernel sweep at p/q: a connected vertex set with density > p/q and
-    no sets, or None and the minimal vertex sets of density exactly p/q."""
+) -> tuple[
+    tuple[frozenset[VertexId], Fraction] | None, tuple[frozenset[VertexId], ...]
+]:
+    """One kernel sweep at p/q: a connected vertex set with density > p/q,
+    with its density, and no sets, or None and the minimal vertex sets of
+    density exactly p/q."""
     verts, us, vs = _compact(g)
     raw, minimal = kernels.sweep(len(verts), us, vs, p, q)
     if raw is None:
         return None, tuple(frozenset(verts[i] for i in mds) for mds in minimal)
-    witness = _best_component(g, [verts[i] for i in raw])
-    if _component_density(g.induced_by_vertices(witness), witness) * q <= p:
+    witness, d = _best_component(g.induced_by_vertices([verts[i] for i in raw]))
+    if d * q <= p:
         raise InternalInvariantError("flow witness does not exceed the threshold")
-    return witness, ()
+    return (witness, d), ()
 
 
 def exceeds_density(
@@ -114,7 +99,8 @@ def exceeds_density(
         raise GraphInputError("density threshold must be nonnegative")
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
-    return _sweep(g, lam.numerator, lam.denominator)[0]
+    denser = _sweep(g, lam.numerator, lam.denominator)[0]
+    return None if denser is None else denser[0]
 
 
 def fractional_arboricity(g: Multigraph) -> DensityCertificate:
@@ -130,20 +116,12 @@ def fractional_arboricity(g: Multigraph) -> DensityCertificate:
     """
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
-    comps = g.components()
-    witness = None
-    lam = Fraction(-1)
-    for comp in comps:
-        d = _component_density(g, comp)
-        if d > lam:
-            lam, witness = d, comp
-    assert witness is not None
+    witness, lam = _best_component(g)
     while True:
         better, minimal = _sweep(g, lam.numerator, lam.denominator)
         if better is None:
             return DensityCertificate(lam, witness, minimal)
-        witness = better
-        lam = _component_density(g.induced_by_vertices(better), better)
+        witness, lam = better
 
 
 def arboricity(g: Multigraph) -> int:
@@ -159,41 +137,49 @@ def minimal_densest_subgraph(g: Multigraph) -> frozenset[VertexId]:
 
 
 def _enumerate_mds(
-    g: Multigraph,
+    n: int,
+    us: Sequence[int],
+    vs: Sequence[int],
     lam: Fraction,
-    minimal: tuple[frozenset[VertexId], ...] | None = None,
-) -> list[Multigraph]:
-    """The minimal connected induced subgraphs of ``g`` of density
-    lam >= af(g) (the minimal densest subgraphs when lam = af(g)), ordered by
-    their sorted vertex lists; empty when no subgraph attains lam.
+    minimal: Iterable[Iterable[int]] | None = None,
+) -> list[tuple[list[int], list[int]]]:
+    """The minimal connected induced subgraphs of density lam >= af of the
+    compact graph whose edge j joins vertices us[j] and vs[j] of 0..n-1 (the
+    minimal densest subgraphs when lam = af), each as its vertices, ascending,
+    and its edge positions; ordered by their vertex lists, and empty when no
+    subgraph attains lam.
 
-    ``minimal`` gives their vertex sets when the caller has them already, as
-    a certificate of ``fractional_arboricity(g)`` does; by default one sweep
-    at lam reads them.  Either way each set is checked here."""
+    ``minimal`` gives their vertex sets, in that order, when the caller has
+    them already, as a certificate of ``fractional_arboricity`` does; by
+    default one sweep at lam reads them.  Either way each set is checked
+    here: its edges connect it, and m/(n - 1) = lam."""
     if minimal is None:
-        denser, minimal = _sweep(g, lam.numerator, lam.denominator)
+        denser, minimal = kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
         if denser is not None:
             raise InternalInvariantError("a subgraph is denser than the given af")
-    # each set's induced edges in one pass over the level's edges; distinct
-    # minimal densest sets share at most one vertex, so the intersection
-    # below names at most one set
-    member: dict[VertexId, set[int]] = {}
-    for k, mds in enumerate(minimal):
+    found: list[tuple[list[int], list[int]]] = [(sorted(mds), []) for mds in minimal]
+    # each set's induced edges in one pass over the edges; distinct minimal
+    # densest sets share at most one vertex, so an edge lies in at most one
+    member: dict[int, list[int]] = {}
+    for k, (mds, _) in enumerate(found):
         for v in mds:
-            member.setdefault(v, set()).add(k)
-    inside: list[dict[EdgeId, tuple[VertexId, VertexId]]] = [{} for _ in minimal]
-    for eid, (a, b) in g.edges.items():
+            member.setdefault(v, []).append(k)
+    for j, (a, b) in enumerate(zip(us, vs)):
         if a in member and b in member:
-            for k in member[a] & member[b]:
-                inside[k][eid] = (a, b)
-    found = [
-        Multigraph(edges, vertices=mds) for edges, mds in zip(inside, minimal)
-    ]
-    for sub in found:
-        # one components() pass: connected means one component, and then the
-        # density is m/(n - 1)
-        n, m = sub.num_vertices(), sub.num_edges()
-        if len(sub.components()) != 1 or n < 2 or Fraction(m, n - 1) != lam:
+            for k in member[a]:
+                if k in member[b]:
+                    found[k][1].append(j)
+    for mds, edges in found:
+        # the edges connect the set when they join it n - 1 times
+        up: dict[int, int] = {}
+        joins = 0
+        for j in edges:
+            a, b = _find(up, us[j]), _find(up, vs[j])
+            if a != b:
+                up[a] = b
+                joins += 1
+        size = len(mds)
+        if size < 2 or joins != size - 1 or Fraction(len(edges), size - 1) != lam:
             raise InternalInvariantError("minimal densest subgraph extraction failed")
     return found
 
@@ -207,4 +193,14 @@ def enumerate_minimal_densest_subgraphs(
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
     cert = fractional_arboricity(g)
-    return [sub.vertices for sub in _enumerate_mds(g, cert.value, cert.minimal)]
+    verts, us, vs = _compact(g)
+    found = _enumerate_mds(len(verts), us, vs, cert.value, _indices(verts, cert.minimal))
+    return [frozenset(verts[i] for i in mds) for mds, _ in found]
+
+
+def _indices(
+    verts: Sequence[VertexId], sets: Iterable[Iterable[VertexId]]
+) -> list[list[int]]:
+    """Each vertex set in compact indices, for the sorted vertices ``verts``."""
+    index = {v: i for i, v in enumerate(verts)}
+    return [[index[v] for v in s] for s in sets]

@@ -38,15 +38,20 @@ vertices that the source reaches in the residual network: the source side
 of the smallest min cut.
 
 A call walks its roots on one flow, carried from trial to trial (Gallo,
-Grigoriadis & Tarjan, 1989).  Freeing a root drains the flow into it back
-to its edges' room; deleting a vertex cancels the flow on its edges,
-returning what went to each neighbour to that neighbour's spare; each trial
-then re-augments from the residual graph left by the previous one.
+Grigoriadis & Tarjan, 1989).  The first, no-root trial starts from a
+greedy fill: one pass sends each live edge's q units to its ends' spare,
+``us[i]`` first, which is a feasible flow, and Dinic repairs only what it
+left; most short augmenting paths of a cold start are never searched for.
+Freeing a root drains the flow into it back to its edges' room; deleting a
+vertex cancels the flow on its edges, returning what went to each
+neighbour to that neighbour's spare; each trial then re-augments from the
+residual graph left by the previous one.
 ``open`` lists the edges with room: each Dinic phase drops the full ones,
 and freeing a root lists again the edges it reopens, so a warm trial scans
 the freed root's edges at the source instead of all m.  The max-flow value
 and the closed sets of the residual graph are the same for every max flow
-(Picard & Queyranne, 1980), so no answer depends on where the flow started.
+(Picard & Queyranne, 1980), so no answer depends on where the flow started,
+from zero, from the fill or from an earlier root's flow.
 
 ``sweep`` is the kernel's one walk.  It asks whether a connected vertex set
 is denser than p/q: it peels vertices of degree <= p/q, which no such set
@@ -148,6 +153,25 @@ class _Walk:
         self.deg = [len(x) for x in self.nbrs]
         self.queue = deque(v for v in range(n) if not keep(self.deg[v]))
 
+    def fill(self) -> None:
+        """Send each live edge's room to its ends' spare in one pass, to
+        ``us[i]`` first: a feasible flow that Dinic then only repairs."""
+        ends, sent, room, spare = self.ends, self.sent, self.room, self.spare
+        flow = 0
+        for i in self.open:
+            left = room[i]
+            for s in (2 * i, 2 * i + 1):
+                if not left:
+                    break
+                x = ends[s]
+                f = spare[x] if spare[x] < left else left
+                sent[s] += f
+                spare[x] -= f
+                left -= f
+            flow += room[i] - left
+            room[i] = left
+        self.flow += flow
+
     def free(self, r: int) -> None:
         """Drain the flow into r back to its edges' room, listing each edge
         that this reopens, and take r's spare."""
@@ -177,7 +201,8 @@ class _Walk:
         spare[v] = 0
 
     def roots(self, first: int) -> Iterator[int]:
-        """Yield the roots r from ``first`` (-1: no root) up, each freed.
+        """Yield the roots r from ``first`` (-1: no root) up, each freed;
+        the no-root trial starts from the greedy ``fill``.
 
         Vertices whose live degree d fails ``keep(d)`` are peeled before the
         first root and after each root, which is deleted once its trial is
@@ -196,6 +221,8 @@ class _Walk:
                 return
             if r >= 0:
                 self.free(r)
+            else:
+                self.fill()
             yield r
             if r >= 0:
                 self.delete(r)

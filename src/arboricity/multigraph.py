@@ -7,7 +7,10 @@ ids of all edges that do not become loops.  This stability is what lets
 higher layers report edge sets of minors in terms of the original graph.
 
 All operations are pure: they return new graphs or views and never mutate
-their inputs, so values can be shared freely across threads.
+their inputs, so values can be shared freely across threads.  A graph fills
+its derived data, its components and its compact form, at most once, on
+first use; the cached values are immutable, and two threads that fill one at
+once compute the same value, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .errors import DisconnectedGraphError, GraphInputError, ResourceLimitError
 
 VertexId = int
 EdgeId = int
+# sorted vertices, and per edge in id order its endpoints' indices
+_Compact = tuple[tuple[VertexId, ...], tuple[int, ...], tuple[int, ...]]
 
 
 class _UnionFind:
@@ -48,10 +53,19 @@ class _UnionFind:
         self.parent[rb] = ra
 
 
+def _find(up: dict[int, int], x: int) -> int:
+    """The root of x in the union-find ``up``, where an item missing from
+    ``up`` is a root."""
+    while x in up:
+        p = up[x]
+        up[x] = x = up.get(p, p)  # path halving
+    return x
+
+
 class Multigraph:
     """Immutable loopless multigraph; parallel edges are distinct EdgeIds."""
 
-    __slots__ = ("_vertices", "_edges")
+    __slots__ = ("_vertices", "_edges", "_components", "_compact")
 
     def __init__(
         self,
@@ -68,6 +82,8 @@ class Multigraph:
             vset.add(v)
         self._edges = edict
         self._vertices = frozenset(vset)
+        self._components: tuple[frozenset[VertexId], ...] | None = None
+        self._compact: _Compact | None = None
 
     @classmethod
     def from_edge_list(
@@ -124,13 +140,9 @@ class Multigraph:
 
     def components(self) -> list[frozenset[VertexId]]:
         """Maximal connected vertex sets, ordered by ascending minimum id."""
-        uf = _UnionFind(self._vertices)
-        for u, v in self._edges.values():
-            uf.union(u, v)
-        classes: dict[VertexId, set[VertexId]] = {}
-        for v in self._vertices:
-            classes.setdefault(uf.find(v), set()).add(v)
-        return [frozenset(classes[r]) for r in sorted(classes)]
+        if self._components is None:
+            self._components = _components(_compact(self))
+        return list(self._components)
 
     def is_connected(self) -> bool:
         return self.num_components() <= 1
@@ -264,6 +276,43 @@ class Multigraph:
             return [frozenset()]
         walk(0, [])
         return trees
+
+
+def _compact(g: Multigraph) -> _Compact:
+    """Sorted vertices and, per edge in id order, its endpoints' indices;
+    computed once per graph."""
+    if g._compact is None:
+        verts = sorted(g._vertices)
+        index = {v: i for i, v in enumerate(verts)}
+        ends = [g._edges[e] for e in sorted(g._edges)]
+        g._compact = (
+            tuple(verts),
+            tuple([index[a] for a, _ in ends]),
+            tuple([index[b] for _, b in ends]),
+        )
+    return g._compact
+
+
+def _components(compact: _Compact) -> tuple[frozenset[VertexId], ...]:
+    """The components of a compact graph, by a union-find whose roots are
+    the smallest indices, so they come out by ascending minimum id."""
+    verts, us, vs = compact
+    up = list(range(len(verts)))
+    for a, b in zip(us, vs):
+        while a != up[a]:
+            up[a] = a = up[up[a]]
+        while b != up[b]:
+            up[b] = b = up[up[b]]
+        if a < b:
+            up[b] = a
+        elif b < a:
+            up[a] = b
+    classes: dict[int, list[VertexId]] = {}
+    for i, v in enumerate(verts):
+        # a parent has a smaller index, whose root is final by now
+        r = up[i] = up[up[i]]
+        classes.setdefault(r, []).append(v)
+    return tuple(frozenset(c) for c in classes.values())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ The procedure stops when the contracted graph has no subgraph of density
 af(G) left; whatever edges remain form the non-prime set E0.  Every edge in
 a prime set lies in some densest minor; no edge of E0 does.
 
+The levels run on one union-find over G's compact vertex indices, whose
+roots are the smallest index of each class, and a list of the live edges,
+those not yet loops.  A level's minor is the live edges between their ends'
+roots, numbered in order; no graph object is built for it.
+
 A prime set Q precedes a prime set P when the minor defining P exists only
 after Q has been contracted.  That relation is read from the merge forest
 of the contraction levels, by a replay per Q along Q's path up the forest.
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .density import DensityCertificate, _enumerate_mds, fractional_arboricity
+from .density import DensityCertificate, _enumerate_mds, _indices, fractional_arboricity
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
-from .multigraph import EdgeId, Multigraph, VertexId
+from .multigraph import EdgeId, Multigraph, VertexId, _compact, _find
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,10 @@ def prime_partition(
     than ``af`` fails a kernel trial, and an ``af`` above the true value
     leaves level 0 with no minimal densest set; both raise
     ``InternalInvariantError``.
+
+    The levels contract on one union-find over g's compact indices, so a
+    class's image is its minimum original id, as ``Multigraph.contract``
+    names it, and each level sweeps only the edges still live.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("graph must be connected")
@@ -85,30 +94,42 @@ def prime_partition(
 
     if af is None:
         af = fractional_arboricity(g)
+    verts, us, vs = _compact(g)
     if isinstance(af, DensityCertificate):
-        af, minimal = af.value, af.minimal
+        af, minimal = af.value, _indices(verts, af.minimal)
     else:
         af, minimal = Fraction(af), None
+    eids = sorted(g.edges)  # edge j of the compact form is eids[j]
+    up: dict[int, int] = {}  # the contraction classes; a root is the smallest index
+    live: list[int] = list(range(len(us)))  # the edges not yet loops
+    n, mus, mvs = len(verts), us, vs  # the current minor; level 0 is g
     collected: list[tuple[frozenset[EdgeId], int, int]] = []  # (edges, level, n_p)
     level = 0
-    current = g
-    while current.num_edges():
-        found = _enumerate_mds(current, af, minimal)
+    while live:
+        found = _enumerate_mds(n, mus, mvs, af, minimal)
         minimal = None  # later levels sweep their minor
         if not found:
             if not level:
                 raise InternalInvariantError("no subgraph attains the given af")
             break
-        level_edges: set[EdgeId] = set()
-        for sub in found:
-            edges = sub.edge_ids
-            collected.append((edges, level, sub.num_vertices()))
-            level_edges |= edges
-        # contracting the last minor gives the same graph as contracting g
-        # by every set so far: images are minimum original ids either way
-        current = current.contract(level_edges).as_multigraph()
+        for mds, positions in found:
+            edges = [live[j] for j in positions]
+            collected.append((frozenset(eids[e] for e in edges), level, len(mds)))
+            for e in edges:
+                a, b = _find(up, us[e]), _find(up, vs[e])
+                if a != b:
+                    up[max(a, b)] = min(a, b)
+        # the next minor: the live edges' ends' roots, numbered in order, so
+        # each class keeps the place of its smallest original id
+        roots = [(e, _find(up, us[e]), _find(up, vs[e])) for e in live]
+        roots = [t for t in roots if t[1] != t[2]]
+        number = {r: i for i, r in enumerate(sorted({r for t in roots for r in t[1:]}))}
+        live = [e for e, _, _ in roots]
+        n = len(number)
+        mus = [number[a] for _, a, _ in roots]
+        mvs = [number[b] for _, _, b in roots]
         level += 1
-    non_prime = current.edge_ids
+    non_prime = frozenset(eids[e] for e in live)
 
     order = sorted(collected, key=lambda item: (item[1], min(item[0])))
     prime_sets = tuple(
@@ -139,13 +160,6 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     if pp.af != fractional_arboricity(g).value:
         raise GraphInputError("prime partition does not match the graph")
     return _ancestor_order(g, pp)
-
-
-def _find(up: dict[int, int], x: int) -> int:
-    while x in up:  # a node missing from ``up`` is a root
-        p = up[x]
-        up[x] = x = up.get(p, p)  # path halving
-    return x
 
 
 def _join(up: dict[int, int], ends: list[int]) -> None:

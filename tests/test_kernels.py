@@ -638,6 +638,45 @@ def test_flow_is_conserved_on_every_slot(monkeypatch):
     assert counts["trials"] > 4000 and counts["deleted"] > 2000, counts
 
 
+def test_fill_leaves_a_flow_that_no_one_step_path_can_raise(monkeypatch):
+    # after the greedy fill that starts each sweep's first trial: each live
+    # edge splits q units between its slots and its room, each live vertex
+    # drains what its slots send it and has the rest of p to spare, and no
+    # live edge with room has an end with spare, so every augmenting path
+    # left for Dinic crosses at least one edge between vertices
+    fill = kernels._Walk.fill
+    counts = {"fills": 0, "partial": 0}
+    lam = None  # the threshold of the current sweep
+
+    def checked(walk):
+        fill(walk)
+        p, q = lam.numerator, lam.denominator
+        ends, sent, room, spare, alive = walk.ends, walk.sent, walk.room, walk.spare, walk.alive
+        into = [0] * walk.n
+        total = 0
+        for i in range(len(room)):
+            x, y = ends[2 * i], ends[2 * i + 1]
+            if alive[x] and alive[y]:
+                assert sent[2 * i] + sent[2 * i + 1] + room[i] == q
+                assert min(sent[2 * i], sent[2 * i + 1], room[i]) >= 0
+                assert not room[i] or not (spare[x] or spare[y])
+                counts["partial"] += room[i] > 0
+            into[x] += sent[2 * i]
+            into[y] += sent[2 * i + 1]
+            total += sent[2 * i] + sent[2 * i + 1]
+        for v in range(walk.n):
+            if alive[v]:
+                assert spare[v] >= 0 and spare[v] + into[v] == p
+        assert walk.flow == total
+        counts["fills"] += 1
+
+    cases = _walk_cases()
+    monkeypatch.setattr(kernels._Walk, "fill", checked)
+    for n, us, vs, lam in cases:
+        kernels.sweep(n, us, vs, lam.numerator, lam.denominator)
+    assert counts["fills"] > 2000 and counts["partial"] > 1000, counts
+
+
 def _walk_cases():
     """(n, us, vs, threshold) for 700 seeded multigraphs with parallel edges,
     at af - 1/2n, af, af + 1/n^2, the whole graph's density and halfway to

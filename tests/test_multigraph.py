@@ -10,6 +10,8 @@ from arboricity import (
     ResourceLimitError,
 )
 
+from arboricity.density import _compact
+
 from conftest import k4, triangle, two_k4_bridge
 
 
@@ -25,6 +27,22 @@ def test_counts_and_components():
     assert g.num_components() == 2
     assert g.components() == [frozenset({0, 1, 2}), frozenset({5, 6})]
     assert Multigraph({}).components() == []
+
+
+def test_cached_structure_is_safe_to_share():
+    # components and the compact form are computed once per graph and kept:
+    # a caller that edits the components' list leaves the next call intact,
+    # and the compact form is tuples, which no caller can edit
+    g = Multigraph({4: (9, 7), 1: (3, 7), 2: (1, 2)}, vertices={5})
+    comps = g.components()
+    comps.append(frozenset({99}))
+    comps[0] = frozenset()
+    assert g.components() == [frozenset({1, 2}), frozenset({3, 7, 9}), frozenset({5})]
+    assert g.components() is not g.components()
+    compact = _compact(g)
+    assert compact == ((1, 2, 3, 5, 7, 9), (2, 0, 4), (4, 1, 5))
+    assert all(type(part) is tuple for part in compact)
+    assert _compact(g) is compact
 
 
 def test_induced_by_edges_triangle_single_edge():

@@ -22,9 +22,10 @@ from arboricity import (
     prime,
     prime_partition,
 )
+from arboricity.density import _compact
 from arboricity.nucleolus import solve_nucleolus
 from arboricity.oracle import enumerate_densest_subgraphs
-from arboricity.prime import _ancestor_order
+from arboricity.prime import PrimeSet, _ancestor_order
 
 from conftest import (
     four_k4_chain,
@@ -389,13 +390,29 @@ def _check_against_the_reference(g: Multigraph, part: PrimePartition) -> None:
     assert {pid: poset.ancestors_of(pid) for pid in closed} == closed
 
 
-def test_ancestor_order_matches_the_reference_replay():
-
+def _layered_graphs() -> list[Multigraph]:
+    """360 graphs, most of them with several levels: K4 towers of 1 to 60
+    levels, random multigraphs, and K4s joined by 2-edge bundles."""
     rng = random.Random(13)
     graphs = [k4_tower(levels) for levels in range(1, 61)]
     for _ in range(150):
         graphs.append(random_connected(rng, n_max=9, m_max=16))
         graphs.append(k4_pairs(rng))
+    return graphs
+
+
+def _bench_structured_graphs() -> list[Multigraph]:
+    """The benchmark's K4 block trees (B = 2..40: one level of bundles over
+    the K4s) and pair hierarchies (d = 1..6: d levels of bundles)."""
+    rng = random.Random(17)
+    insts = [workloads.block_tree(rng, b) for b in range(2, 41)]
+    insts += [workloads.pair_hierarchy(rng, d) for d in range(1, 7)]
+    return [Multigraph.from_edge_list(inst.edges) for inst in insts]
+
+
+def test_ancestor_order_matches_the_reference_replay():
+
+    graphs = _layered_graphs()
     layered = 0
     for g in graphs:
         pp = prime_partition(g)
@@ -404,13 +421,7 @@ def test_ancestor_order_matches_the_reference_replay():
         for part in (pp, flipped):
             _check_against_the_reference(g, part)
     assert len(graphs) == 360 and layered >= 200
-    # the benchmark's K4 block trees (B = 2..40: one level of bundles over
-    # the K4s) and pair hierarchies (d = 1..6: d levels of bundles)
-    rng = random.Random(17)
-    insts = [workloads.block_tree(rng, b) for b in range(2, 41)]
-    insts += [workloads.pair_hierarchy(rng, d) for d in range(1, 7)]
-    for inst in insts:
-        g = Multigraph.from_edge_list(inst.edges)
+    for g in _bench_structured_graphs():
         pp = prime_partition(g)
         assert len({ps.level for ps in pp.prime_sets}) > 1
         flipped = PrimePartition(tuple(reversed(pp.prime_sets)), pp.non_prime, pp.af)
@@ -447,3 +458,95 @@ def test_replays_union_a_bounded_number_of_edges(monkeypatch):
         joined = 0
         _ancestor_order(g, pp)
         assert sum(len(ps.edges) for ps in pp.prime_sets) <= joined <= 4 * g.num_edges()
+
+
+def _reference_prime_partition(g: Multigraph) -> PrimePartition:
+    """The prime partition by contracting each level's minimal densest
+    subgraphs into a new ``Multigraph`` with ``Multigraph.contract``, kept as
+    the reference for ``prime_partition``'s levels on one union-find."""
+    af = fractional_arboricity(g).value
+    collected = []  # (edges, level, n_p)
+    level = 0
+    current = g
+    while current.num_edges():
+        verts, us, vs = _compact(current)
+        denser, minimal = kernels.sweep(len(verts), us, vs, af.numerator, af.denominator)
+        assert denser is None
+        if not minimal:
+            break
+        level_edges: set[int] = set()
+        for mds in minimal:
+            sub = current.induced_by_vertices(verts[i] for i in mds)
+            collected.append((sub.edge_ids, level, sub.num_vertices()))
+            level_edges |= sub.edge_ids
+        current = current.contract(level_edges).as_multigraph()
+        level += 1
+    order = sorted(collected, key=lambda item: (item[1], min(item[0])))
+    prime_sets = tuple(PrimeSet(i, *item) for i, item in enumerate(order))
+    return PrimePartition(prime_sets, current.edge_ids, af)
+
+
+def doubled_triangle_pairs(rng) -> Multigraph:
+    """2 to 5 triangles with doubled sides, merged pairwise by random 3-edge
+    bundles until connected: af = 3, and each bundle becomes 3 parallel
+    edges, a minimal densest pair, once the triangles it joins contract."""
+    blocks = [list(range(3 * i, 3 * i + 3)) for i in range(rng.randint(2, 5))]
+    edges = [(a, b) for v, w, x in blocks for a, b in ((v, w), (w, x), (v, x))] * 2
+    while len(blocks) > 1:
+        a, b = rng.sample(range(len(blocks)), 2)
+        edges += [(rng.choice(blocks[a]), rng.choice(blocks[b])) for _ in range(3)]
+        blocks[a] += blocks[b]
+        del blocks[b]
+    return Multigraph.from_edge_list(edges)
+
+
+def test_levels_on_one_union_find_match_the_contracted_minors():
+    # the levels contract on one union-find over compact indices, where the
+    # reference builds each level's minor with Multigraph.contract: the same
+    # prime sets, levels, n_p and E0 on layered graphs, the benchmark's
+    # structured families, and minors whose minimal sets are parallel
+    # bundles of exactly af edges (af = 2 and af = 3)
+    rng = random.Random(19)
+    graphs = _layered_graphs() + _bench_structured_graphs()
+    graphs += [doubled_triangle_pairs(rng) for _ in range(60)]
+    bundled = 0
+    for g in graphs:
+        pp = prime_partition(g)
+        assert pp == _reference_prime_partition(g)
+        bundled += any(ps.level and len(ps.edges) == pp.af for ps in pp.prime_sets)
+    assert bundled > 300, bundled
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        workloads.block_tree(random.Random(1), 30),
+        workloads.pair_hierarchy(random.Random(1), 5),
+    ],
+    ids=["block_tree", "pair_hierarchy"],
+)
+def test_a_request_builds_no_graph_beyond_its_own(inst, monkeypatch):
+    # the af loop, the level loop and the peel read g's cached compact form:
+    # no Multigraph is built beyond g, and g's components are computed once
+    from arboricity import multigraph
+
+    built, computed = [], []
+    init, components = Multigraph.__init__, multigraph._components
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_components(compact):
+        computed.append(compact)
+        return components(compact)
+
+    for run in (prime_partition, solve_nucleolus):
+        g = Multigraph.from_edge_list(inst.edges)
+        built.clear()
+        computed.clear()
+        monkeypatch.setattr(Multigraph, "__init__", counted_init)
+        monkeypatch.setattr(multigraph, "_components", counted_components)
+        run(g)
+        monkeypatch.undo()
+        assert built == [] and computed == [_compact(g)]
