@@ -27,16 +27,23 @@ to be constant on the new face:
 - the x-part of every row of the round LP with a positive dual price.  By
   complementary slackness such a row is tight at every optimum of the round
   LP, and the new face is exactly the set of optima, so the row is constant
-  on it.
+  on it;
+- the unit row e_j of every edge j whose variable has a positive reduced
+  cost under those prices.  By complementary slackness x_j = 0 at every
+  optimum, so on the whole new face.
 
 The round LP's optimal point lies on the new face and serves as its base
-point x0.  Each direction d orthogonal to the rows and directions found so
-far then costs one LP, max d.x, whenever that exceeds d.x0, which makes
-x_hi - x0 a hull direction; only otherwise does a second LP, min d.x, tell a
-direction from a constant row.  The face, every epsilon and every fixed
-coalition are unique, so none depends on the directions tried.  Constraints
-implied by monotonicity of the cost function (a superset with the same cost)
-are omitted from the LPs; they cannot change the feasible set.
+point x0.  The hull keeps one fraction-free echelon basis of these rows and
+of each hull direction or constant row found since.  Each direction d
+orthogonal to that basis then costs one LP, max d.x, whenever that exceeds
+d.x0, which makes x_hi - x0 a hull direction; only otherwise does a second
+LP, min d.x, tell a direction from a constant row.  The LPs over one face
+share their converted rows and the transpose that the simplex's dual route
+needs; each direction supplies only its objective.  The face, every epsilon
+and every fixed coalition are unique, so none depends on the directions
+tried.  Constraints implied by monotonicity of the cost function (a superset
+with the same cost) are omitted from the LPs; they cannot change the
+feasible set.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .errors import (
 )
 from .game import Allocation
 from .multigraph import EdgeId, Multigraph, VertexId
-from .simplex import EQ, LE, make_lp, simplex_solve
+from .simplex import EQ, LE, make_lp, objective_family, simplex_solve
 
 ZERO = Fraction(0)
 
@@ -272,15 +279,18 @@ class _Face:
             ((1,) * m, grand)
         ]
         self.ineq_rows: list[tuple[tuple[int, ...], Fraction | int]] = []
+        self._lp = None  # the face's LP per objective, built on first use
 
     def add_coalition_bound(self, mask: int, bound: Fraction) -> None:
         self.ineq_rows.append((_indicator(mask, self.m), bound))
+        self._lp = None
 
     def optimize(self, direction: Sequence[Fraction]) -> tuple[Fraction, tuple[Fraction, ...]]:
-        rows = [(row, EQ, b) for row, b in self.eq_rows]
-        rows += [(row, LE, b) for row, b in self.ineq_rows]
-        lp = make_lp(direction, rows, [True] * self.m)
-        res = simplex_solve(lp)
+        if self._lp is None:
+            rows = [(row, EQ, b) for row, b in self.eq_rows]
+            rows += [(row, LE, b) for row, b in self.ineq_rows]
+            self._lp = objective_family(rows, [True] * self.m)
+        res = simplex_solve(self._lp(direction))
         if res.status != "optimal":
             raise InternalInvariantError(f"face LP is {res.status}")
         assert res.value is not None and res.point is not None
@@ -288,13 +298,18 @@ class _Face:
 
     def epsilon_lp(
         self, masks: list[int], table: list[int]
-    ) -> tuple[Fraction, tuple[Fraction, ...], list[tuple[int, ...]]]:
+    ) -> tuple[Fraction, tuple[Fraction, ...], list[tuple[int, ...]], list[tuple[int, ...]]]:
         """max eps s.t. x in face and x(S) + eps <= gamma(S) for S in masks.
 
-        Returns eps, the x-part of an optimal point, and the x-parts of the
-        rows whose dual price is positive.  By complementary slackness such a
-        row is tight at every optimum, so its x-part is constant on the face
-        that the optimal eps cuts out.
+        Returns eps, the x-part of an optimal point, and two lists of rows
+        that are constant on the face the optimal eps cuts out, read off the
+        dual prices by complementary slackness:
+
+        - the x-part of each row with a positive price, which is tight at
+          every optimum;
+        - the unit row e_j of each x_j with a positive reduced cost (the
+          prices times column j, as x_j has no objective term), which is 0
+          at every optimum.
         """
         m = self.m
         rows = []
@@ -311,13 +326,24 @@ class _Face:
             raise InternalInvariantError(f"round LP is {res.status}")
         assert res.value is not None and res.point is not None and res.prices is not None
         point = res.point
+        priced = [(row, b, y) for (row, _, b), y in zip(rows, res.prices) if y]
+        k = math.lcm(*[y.denominator for _, _, y in priced])
         tight = []
-        for (row, _, b), price in zip(rows, res.prices):
-            if price > 0:
+        reduced = [0] * m  # k times the reduced costs
+        for row, b, y in priced:
+            if y > 0:
                 if _dot(row, point) != b:
                     raise InternalInvariantError("a row with a positive price is slack")
                 tight.append(row[:m])
-        return res.value, point[:m], tight
+            ky = y.numerator * (k // y.denominator)
+            reduced = [r + ky * a if a else r for r, a in zip(reduced, row)]
+        zeros = []
+        for j, r in enumerate(reduced):
+            if r > 0:
+                if point[j]:
+                    raise InternalInvariantError("an edge with a positive reduced cost is not 0")
+                zeros.append(_indicator(1 << j, m))
+        return res.value, point[:m], tight, zeros
 
 
 def _dot(row: Sequence[Fraction | int], x: Sequence[Fraction]) -> Fraction:
@@ -329,45 +355,52 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [a // g for a in row]
 
 
-def _nullspace_direction(
-    rows: list[tuple[Fraction | int, ...]], m: int
-) -> tuple[Fraction, ...] | None:
-    """A deterministic nonzero vector orthogonal to all rows, or None.
+class _Echelon:
+    """A row space over Q^m held as a fraction-free reduced echelon basis,
+    grown one row at a time.
 
-    The vector comes from the reduced row echelon form, which depends on the
-    row space alone: 1 at the first free column c, and minus column c's
-    entry of each pivot row at that row's pivot.  Distinct rows are scaled
-    to integers and added one at a time, fraction-free: a new row is cleared
-    at the pivot columns, and its own pivot is cleared from the pivot rows.
+    Each row is scaled to integers and cleared at the pivot columns; a row
+    left nonzero is made primitive, its own pivot is cleared from the pivot
+    rows, and it joins them.  The reduced echelon form depends on the row
+    space alone, so ``direction`` does too.
     """
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, integer row)
-    for r in dict.fromkeys(rows):
+
+    def __init__(self, m: int):
+        self.m = m
+        self.rows: list[tuple[int, list[int]]] = []  # (pivot column, integer row)
+
+    def add(self, r: Sequence[Fraction | int]) -> None:
         k = math.lcm(*[a.denominator for a in r])
         row = [a.numerator * (k // a.denominator) for a in r]
-        for pc, prow in basis:
+        for pc, prow in self.rows:
             f = row[pc]
             if f:
                 p = prow[pc]
                 row = [p * a - f * b for a, b in zip(row, prow)]
         col = next((j for j, a in enumerate(row) if a), -1)
         if col < 0:
-            continue
+            return
         row = _primitive(row)
         p = row[col]
-        for i, (pc, prow) in enumerate(basis):
+        for i, (pc, prow) in enumerate(self.rows):
             f = prow[col]
             if f:
-                basis[i] = (pc, _primitive([p * a - f * b for a, b in zip(prow, row)]))
-        basis.append((col, row))
-        if len(basis) == m:
+                self.rows[i] = (pc, _primitive([p * a - f * b for a, b in zip(prow, row)]))
+        self.rows.append((col, row))
+
+    def direction(self) -> tuple[Fraction, ...] | None:
+        """A nonzero vector orthogonal to the row space, or None if it is
+        all of Q^m: 1 at the first free column c, and minus column c's entry
+        of each pivot row at that row's pivot."""
+        if len(self.rows) == self.m:
             return None
-    pivots = dict(basis)
-    c = next(j for j in range(m) if j not in pivots)
-    d = [ZERO] * m
-    d[c] = Fraction(1)
-    for pc, prow in pivots.items():
-        d[pc] = Fraction(-prow[c], prow[pc])
-    return tuple(d)
+        pivots = dict(self.rows)
+        c = next(j for j in range(self.m) if j not in pivots)
+        d = [ZERO] * self.m
+        d[c] = Fraction(1)
+        for pc, prow in self.rows:
+            d[pc] = Fraction(-prow[c], prow[pc])
+        return tuple(d)
 
 
 def _affine_hull(
@@ -375,28 +408,34 @@ def _affine_hull(
 ) -> list[tuple[Fraction, ...]]:
     """Directions spanning the affine hull of the face, which holds x0.
 
-    ``fixed`` holds rows known to be constant on the face.  Each direction d
-    orthogonal to the directions and rows found so far costs one LP, max
-    d.x, when that exceeds d.x0: then x_hi - x0 is a hull direction.  Only
-    when it does not does a second LP, min d.x, tell a hull direction from a
+    ``fixed`` holds rows known to be constant on the face.  One echelon
+    basis holds them and each hull direction or constant row found since.
+    Each direction d orthogonal to that basis costs one LP, max d.x, when
+    that exceeds d.x0: then x_hi - x0 is a hull direction.  Only when it
+    does not does a second LP, min d.x, tell a hull direction from a
     constant row.
     """
     span: list[tuple[Fraction, ...]] = []  # hull directions found so far
-    fixed = list(fixed)
+    basis = _Echelon(face.m)
+    for row in dict.fromkeys(fixed):
+        basis.add(row)
     while True:
-        d = _nullspace_direction(span + fixed, face.m)
+        d = basis.direction()
         if d is None:
             return span
         at_x0 = _dot(d, x0)
         hi, x_hi = face.optimize(d)
         if hi != at_x0:
-            span.append(tuple([a - b for a, b in zip(x_hi, x0)]))
-            continue
-        lo_neg, x_lo = face.optimize([-a for a in d])
-        if lo_neg + at_x0 == 0:  # max d.x == min d.x
-            fixed.append(d)
+            found = tuple([a - b for a, b in zip(x_hi, x0)])
+            span.append(found)
         else:
-            span.append(tuple([a - b for a, b in zip(x_lo, x0)]))
+            lo_neg, x_lo = face.optimize([-a for a in d])
+            if lo_neg + at_x0 == 0:  # max d.x == min d.x
+                found = d
+            else:
+                found = tuple([a - b for a, b in zip(x_lo, x0)])
+                span.append(found)
+        basis.add(found)
 
 
 def maschler_nucleolus(
@@ -426,14 +465,14 @@ def maschler_nucleolus(
         if len(epsilons) > m + 2:
             raise InternalInvariantError("scheme failed to terminate")
         pruned = _prune(active, table, m)
-        eps, x0, tight = face.epsilon_lp(pruned, table)
+        eps, x0, tight, zeros = face.epsilon_lp(pruned, table)
         if not epsilons and eps < 0:
             raise EmptyCoreError(f"core empty: least core epsilon = {eps}")
         if epsilons and eps < epsilons[-1]:
             raise InternalInvariantError("epsilon decreased between rounds")
         for mask in pruned:
             face.add_coalition_bound(mask, Fraction(table[mask]) - eps)
-        seed = [row for row, _ in face.eq_rows] + fixed_before + tight
+        seed = [row for row, _ in face.eq_rows] + fixed_before + tight + zeros
         span = _affine_hull(face, x0, seed)
         if not span:
             return {order[j]: x0[j] for j in range(m)}

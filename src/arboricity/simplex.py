@@ -15,14 +15,19 @@ dual that is infeasible leaves the primal infeasible or unbounded).  Every
 optimum also carries an optimal dual point, one price per row: the direct
 route reads it from the final tableau, the dual route takes the dual's own
 point.
+
+LPs that share their rows and differ only in the objective, such as the
+oracle's LPs over one face, come from ``objective_family``: the rows are
+converted, and transposed into the dual's rows, once for the family, and
+each LP still goes through ``simplex_solve``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import GraphInputError
 
@@ -37,7 +42,9 @@ class LinearProgram:
     """maximize objective . x  subject to  lhs x (<= | ==) rhs.
 
     Variables with ``nonneg[j]`` True are constrained to x_j >= 0; the rest
-    are free.  Coefficients are ``int`` or ``Fraction``.
+    are free.  Coefficients are ``int`` or ``Fraction``.  ``dual`` is the
+    dual, as ``_dual_of`` states it, when ``objective_family`` built it
+    ahead; ``simplex_solve`` builds it otherwise.
     """
 
     objective: tuple[Fraction | int, ...]
@@ -45,6 +52,7 @@ class LinearProgram:
     senses: tuple[str, ...]
     rhs: tuple[Fraction | int, ...]
     nonneg: tuple[bool, ...]
+    dual: LinearProgram | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.objective)
@@ -83,6 +91,35 @@ def make_lp(
         tuple([_exact(b) for _, _, b in rows]),
         tuple([bool(f) for f in nonneg]),
     )
+
+
+def objective_family(
+    rows: Sequence[tuple[Sequence[Fraction | int], str, Fraction | int]],
+    nonneg: Sequence[bool],
+) -> Callable[[Sequence[Fraction | int]], LinearProgram]:
+    """A function from an objective to the LP of that objective over ``rows``.
+
+    The rows are converted once, and so is the dual's constraint matrix,
+    their transpose; each LP then costs one pass over its objective, which
+    is all that the dual's right-hand side depends on.
+    """
+    base = make_lp([0] * len(nonneg), rows, nonneg)
+    dual = _dual_of(base)
+
+    def lp(objective: Sequence[Fraction | int]) -> LinearProgram:
+        c = tuple([_exact(a) for a in objective])
+        return LinearProgram(
+            c,
+            base.lhs,
+            base.senses,
+            base.rhs,
+            base.nonneg,
+            LinearProgram(
+                dual.objective, dual.lhs, dual.senses, _dual_rhs(c, base.nonneg), dual.nonneg
+            ),
+        )
+
+    return lp
 
 
 @dataclass(frozen=True)
@@ -326,25 +363,25 @@ def _solve_direct(
     return status, value, point, tab.dual_prices()
 
 
+def _dual_rhs(
+    objective: tuple[Fraction | int, ...], nonneg: tuple[bool, ...]
+) -> tuple[Fraction | int, ...]:
+    return tuple([-c if f else c for c, f in zip(objective, nonneg)])
+
+
 def _dual_of(lp: LinearProgram) -> LinearProgram:
-    """Dual in "maximize" form: max -rhs.y with one row per primal variable."""
-    n = len(lp.objective)
+    """Dual in "maximize" form: max -rhs.y with one row per primal variable,
+    -column <= -c_j for x_j >= 0 and column == c_j for a free x_j."""
     rows = []
-    senses = []
-    rhs = []
-    for j in range(n):
+    for j, f in enumerate(lp.nonneg):
         col = [row[j] for row in lp.lhs]
-        if lp.nonneg[j]:
-            rows.append(tuple([-a for a in col]))
-            senses.append(LE)
-            rhs.append(-lp.objective[j])
-        else:
-            rows.append(tuple(col))
-            senses.append(EQ)
-            rhs.append(lp.objective[j])
-    nonneg = tuple([s == LE for s in lp.senses])
+        rows.append(tuple([-a for a in col] if f else col))
     return LinearProgram(
-        tuple([-b for b in lp.rhs]), tuple(rows), tuple(senses), tuple(rhs), nonneg
+        tuple([-b for b in lp.rhs]),
+        tuple(rows),
+        tuple([LE if f else EQ for f in lp.nonneg]),
+        _dual_rhs(lp.objective, lp.nonneg),
+        tuple([s == LE for s in lp.senses]),
     )
 
 
@@ -355,7 +392,7 @@ def _solve_via_dual(lp: LinearProgram) -> SimplexResult | None:
     the dual); a dual-infeasible outcome cannot distinguish an unbounded
     primal from an infeasible one, hence the None.
     """
-    dual = _dual_of(lp)
+    dual = lp.dual if lp.dual is not None else _dual_of(lp)
     status, value, y, prices = _solve_direct(dual)
     if status == "optimal":
         assert prices is not None and value is not None

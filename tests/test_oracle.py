@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -22,8 +24,8 @@ from arboricity.multigraph import VertexId, _UnionFind
 from arboricity.oracle import (
     DEFAULT_GAME_CAP,
     ZERO,
+    _Echelon,
     _edge_ends,
-    _nullspace_direction,
     _prune,
     _subset_sums,
     brute_core_check,
@@ -42,11 +44,15 @@ from conftest import (
     two_k4_shared_vertex,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "pipeline_bench"))
+import workloads  # noqa: E402
+
 
 # ---------------------------------------------------------------------------
 # test-only references: a union-find per edge mask, a bit loop per coalition
-# sum, a pair loop per prune, the Fraction gamma table, and the affine hull
-# that tries every direction with two LPs from an empty start
+# sum, a pair loop per prune, the Fraction gamma table, the elimination of
+# every row again per hull direction, and the affine hull that tries every
+# direction with two LPs from an empty start
 
 
 def _reference_subset_density(
@@ -201,6 +207,47 @@ def _reference_nullspace_direction(
     d[c] = Fraction(1)
     for i, pc in enumerate(pivots):
         d[pc] = -mat[i][c]
+    return tuple(d)
+
+
+def _reference_fraction_free_direction(
+    rows: list[tuple[Fraction | int, ...]], m: int
+) -> tuple[Fraction, ...] | None:
+    """The same direction as ``_reference_nullspace_direction``, by a
+    fraction-free elimination of all the rows from scratch, as the hull did
+    for every direction before it kept one echelon basis."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, integer row)
+
+    def primitive(row: list[int]) -> list[int]:
+        g = math.gcd(*row)
+        return row if g <= 1 else [a // g for a in row]
+
+    for r in dict.fromkeys(rows):
+        k = math.lcm(*[a.denominator for a in r])
+        row = [a.numerator * (k // a.denominator) for a in r]
+        for pc, prow in basis:
+            f = row[pc]
+            if f:
+                p = prow[pc]
+                row = [p * a - f * b for a, b in zip(row, prow)]
+        col = next((j for j, a in enumerate(row) if a), -1)
+        if col < 0:
+            continue
+        row = primitive(row)
+        p = row[col]
+        for i, (pc, prow) in enumerate(basis):
+            f = prow[col]
+            if f:
+                basis[i] = (pc, primitive([p * a - f * b for a, b in zip(prow, row)]))
+        basis.append((col, row))
+        if len(basis) == m:
+            return None
+    pivots = dict(basis)
+    c = next(j for j in range(m) if j not in pivots)
+    d = [ZERO] * m
+    d[c] = Fraction(1)
+    for pc, prow in pivots.items():
+        d[pc] = Fraction(-prow[c], prow[pc])
     return tuple(d)
 
 
@@ -419,6 +466,8 @@ def test_excess_vector_checks_the_allocation_keys():
 
 
 def test_nullspace_direction_matches_the_reference():
+    """The echelon basis, grown one row at a time, gives after every row the
+    direction of both references, which eliminate all the rows so far."""
     rng = random.Random(5)
     for _ in range(1000):
         m = rng.randint(1, 6)
@@ -427,32 +476,20 @@ def test_nullspace_direction_matches_the_reference():
             for _ in range(rng.randint(0, m + 1))
         ]
         rows += rng.sample(rows, len(rows) // 2)  # repeats and reorders
-        assert _nullspace_direction(rows, m) == _reference_nullspace_direction(rows, m)
+        basis = _Echelon(m)
+        for k in range(len(rows) + 1):
+            d = basis.direction()
+            assert d == _reference_nullspace_direction(rows[:k], m)
+            assert d == _reference_fraction_free_direction(rows[:k], m)
+            if d is None:
+                break
+            if k < len(rows):
+                basis.add(rows[k])
 
 
-def test_seeded_hull_matches_the_two_lp_reference(monkeypatch):
-    """Every round of the scheme finds the same hull, by the same fixed
-    coalitions, as the reference that seeds nothing and spends two LPs on
-    every direction; a face that is a point is the same point."""
-    seeded = oracle._affine_hull
-    rounds = points = 0
-
-    def checked(face, x0, fixed):
-        nonlocal rounds, points
-        span = seeded(face, x0, fixed)
-        ref_x0, ref_span = _reference_affine_hull(face)
-        assert _rank(span) == _rank(ref_span) == _rank(span + ref_span)
-        masks = range(1, (1 << face.m) - 1)
-        assert [s for s in masks if any(_reference_coalition_sum(d, s) for d in span)] == [
-            s for s in masks if any(_reference_coalition_sum(d, s) for d in ref_span)
-        ]
-        if not span:
-            points += 1
-            assert tuple(x0) == ref_x0
-        rounds += 1
-        return span
-
-    monkeypatch.setattr(oracle, "_affine_hull", checked)
+def _hull_corpus() -> tuple[int, int, int]:
+    """Run the scheme on 300 random graphs of at most 7 edges; returns how
+    many have an empty core, a fractional af, and a solved round."""
     rng = random.Random(3)
     empty = fractional = solved = 0
     for _ in range(300):
@@ -464,14 +501,86 @@ def test_seeded_hull_matches_the_two_lp_reference(monkeypatch):
             empty += 1
         else:
             solved += g.num_edges() > 1  # one edge takes no round
+    return empty, fractional, solved
+
+
+def test_seeded_hull_matches_the_two_lp_reference(monkeypatch):
+    """Every round of the scheme finds the same hull, by the same fixed
+    coalitions, as the reference that seeds nothing and spends two LPs on
+    every direction; a face that is a point is the same point.  Every unit
+    row seeded from a positive reduced cost is 0 at x0 and on every
+    direction of the reference hull."""
+    seeded = oracle._affine_hull
+    round_lp = oracle._Face.epsilon_lp
+    rounds = points = pinned = 0
+    zeros: list[tuple[int, ...]] = []
+
+    def recorded(face, masks, table):
+        eps, x0, tight, found = round_lp(face, masks, table)
+        zeros[:] = found
+        return eps, x0, tight, found
+
+    def checked(face, x0, fixed):
+        nonlocal rounds, points, pinned
+        span = seeded(face, x0, fixed)
+        ref_x0, ref_span = _reference_affine_hull(face)
+        assert _rank(span) == _rank(ref_span) == _rank(span + ref_span)
+        masks = range(1, (1 << face.m) - 1)
+        assert [s for s in masks if any(_reference_coalition_sum(d, s) for d in span)] == [
+            s for s in masks if any(_reference_coalition_sum(d, s) for d in ref_span)
+        ]
+        for row in zeros:
+            assert sorted(row) == [0] * (face.m - 1) + [1] and row in fixed
+            j = row.index(1)
+            assert x0[j] == 0 and all(d[j] == 0 for d in ref_span)
+            pinned += 1
+        if not span:
+            points += 1
+            assert tuple(x0) == ref_x0
+        rounds += 1
+        return span
+
+    monkeypatch.setattr(oracle._Face, "epsilon_lp", recorded)
+    monkeypatch.setattr(oracle, "_affine_hull", checked)
+    empty, fractional, solved = _hull_corpus()
     assert empty > 0 and fractional > 0 and points == solved
     assert rounds > points  # some faces take more than one round
+    assert pinned > 0
+
+
+def test_echelon_basis_matches_the_elimination_at_every_step(monkeypatch):
+    """On the hull corpus, each direction the growing basis offers is the one
+    that eliminating every row added so far from scratch gives."""
+    offered = ends = 0
+
+    class Checked(_Echelon):
+        def __init__(self, m):
+            super().__init__(m)
+            self.added = []
+
+        def add(self, r):
+            self.added.append(r)
+            super().add(r)
+
+        def direction(self):
+            nonlocal offered, ends
+            d = super().direction()
+            assert d == _reference_fraction_free_direction(self.added, self.m)
+            offered += d is not None
+            ends += d is None
+            return d
+
+    monkeypatch.setattr(oracle, "_Echelon", Checked)
+    _hull_corpus()
+    assert offered > 100 and ends > 100
 
 
 def test_lp_count_per_nucleolus(monkeypatch):
     """One round LP, then one LP per hull direction and two only for a
     direction that proves constant: two LPs for every direction, as a hull
-    with nothing seeded spends, would raise these counts."""
+    with nothing seeded spends, would raise these counts.  Edges pinned to 0
+    by a positive reduced cost take no LP: the 7-edge graph needs 7 LPs
+    without them, and the benchmark's 78 seed-1 graphs 449."""
     calls = 0
     solve = oracle.simplex_solve
 
@@ -482,8 +591,13 @@ def test_lp_count_per_nucleolus(monkeypatch):
 
     monkeypatch.setattr(oracle, "simplex_solve", counting)
     counts = []
-    for g in (k4(), path(3), two_k4_shared_vertex()):
+    pinned = Multigraph.from_edge_list([(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (2, 3), (2, 3)])
+    for g in (k4(), path(3), two_k4_shared_vertex(), pinned):
         calls = 0
         maschler_nucleolus(g, edge_cap=12)
         counts.append(calls)
-    assert counts == [9, 1, 21]
+    assert counts == [9, 1, 21, 1]
+    calls = 0
+    for inst in workloads.oracle_batch(random.Random("oracle:1")):
+        maschler_nucleolus(Multigraph.from_edge_list(inst.edges))
+    assert calls == 337

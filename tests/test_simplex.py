@@ -3,8 +3,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from arboricity.simplex import EQ, LE, SimplexResult, make_lp, simplex_solve
-from arboricity.simplex import _solve_direct, _solve_via_dual, _Tableau
+from arboricity.simplex import (
+    EQ,
+    LE,
+    SimplexResult,
+    make_lp,
+    objective_family,
+    simplex_solve,
+)
+from arboricity.simplex import _dual_of, _solve_direct, _solve_via_dual, _Tableau
 
 
 def test_single_bound():
@@ -189,4 +196,24 @@ def test_prices_certify_both_routes():
             for row, b, yi in zip(lp.lhs, lp.rhs, y):
                 if yi > 0:
                     assert sum(a * x for a, x in zip(row, point)) == b
+    assert optima > 300
+
+
+def test_objective_family_states_each_lp_and_its_dual_as_make_lp_would():
+    """An LP of a family equals the one ``make_lp`` builds, carries the dual
+    that ``_dual_of`` states for it, and solves to the same result."""
+    rng = random.Random(17)
+    optima = 0
+    for k in range(300):
+        lp = _random_lp(rng, duplicate_eq=k % 2 == 1)
+        rows = list(zip(lp.lhs, lp.senses, lp.rhs))
+        family = objective_family(rows, lp.nonneg)
+        for _ in range(3):
+            obj = [_frac(rng, -3, 3) for _ in lp.objective]
+            built = make_lp(obj, rows, lp.nonneg)
+            shared = family(obj)
+            assert shared == built and shared.dual == _dual_of(built)
+            res = simplex_solve(shared)
+            assert res == simplex_solve(built)
+            optima += res.status == "optimal"
     assert optima > 300
