@@ -31,7 +31,7 @@ from .game import (
     core_vertices,
     gamma,
 )
-from .multigraph import ContractionView, EdgeId, Multigraph, VertexId
+from .multigraph import EdgeId, Multigraph, VertexId
 from .nucleolus import (
     PeelAssignment,
     is_tight_tree,
@@ -55,7 +55,6 @@ __all__ = [
     "Allocation",
     "AncestorPoset",
     "ArboricityError",
-    "ContractionView",
     "CoreCheckResult",
     "CoreStatus",
     "DensityCertificate",

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
-from .multigraph import Multigraph, VertexId, _compact, _find
+from .multigraph import Multigraph, VertexId, _compact, _join
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,7 @@ def _enumerate_mds(
                     found[k][1].append(j)
     for mds, edges in found:
         # the edges connect the set when they join it n - 1 times
-        up: dict[int, int] = {}
-        joins = 0
-        for j in edges:
-            a, b = _find(up, us[j]), _find(up, vs[j])
-            if a != b:
-                up[a] = b
-                joins += 1
+        joins = _join({}, [v for j in edges for v in (us[j], vs[j])])
         size = len(mds)
         if size < 2 or joins != size - 1 or Fraction(len(edges), size - 1) != lam:
             raise InternalInvariantError("minimal densest subgraph extraction failed")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DisconnectedGraphError, GraphInputError, ResourceLimitError
 
@@ -28,31 +28,6 @@ EdgeId = int
 _Compact = tuple[tuple[VertexId, ...], tuple[int, ...], tuple[int, ...]]
 
 
-class _UnionFind:
-    """Union-find over arbitrary hashable items, with min-item class labels."""
-
-    def __init__(self, items: Iterable[int]):
-        self.parent = {v: v for v in items}
-
-    def find(self, v: int) -> int:
-        root = v
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the smaller id as representative so labels are deterministic
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-
 def _find(up: dict[int, int], x: int) -> int:
     """The root of x in the union-find ``up``, where an item missing from
     ``up`` is a root."""
@@ -60,6 +35,18 @@ def _find(up: dict[int, int], x: int) -> int:
         p = up[x]
         up[x] = x = up.get(p, p)  # path halving
     return x
+
+
+def _join(up: dict[int, int], ends: Sequence[int]) -> int:
+    """Union, in ``up``, the ends of each edge given flattened as ``ends``,
+    keeping the smaller root; the number of unions made."""
+    joins = 0
+    for i in range(0, len(ends), 2):
+        a, b = _find(up, ends[i]), _find(up, ends[i + 1])
+        if a != b:
+            up[max(a, b)] = min(a, b)
+            joins += 1
+    return joins
 
 
 class Multigraph:
@@ -193,11 +180,9 @@ class Multigraph:
         unknown = fset - self._edges.keys()
         if unknown:
             raise GraphInputError(f"unknown edge ids {sorted(unknown)}")
-        uf = _UnionFind(self._vertices)
-        for e in fset:
-            u, v = self._edges[e]
-            uf.union(u, v)
-        vertex_map = {v: uf.find(v) for v in self._vertices}
+        up: dict[VertexId, VertexId] = {}
+        _join(up, [v for e in fset for v in self._edges[e]])
+        vertex_map = {v: _find(up, v) for v in self._vertices}
         surviving = {
             e: (vertex_map[a], vertex_map[b])
             for e, (a, b) in self._edges.items()
@@ -221,13 +206,11 @@ class Multigraph:
         if not self.is_connected():
             raise DisconnectedGraphError("spanning tree of a disconnected graph")
         order = sorted(self._edges, key=lambda e: (-Fraction(w[e]), e))
-        uf = _UnionFind(self._vertices)
+        up: dict[VertexId, VertexId] = {}
         tree: set[EdgeId] = set()
         total = Fraction(0)
         for e in order:
-            u, v = self._edges[e]
-            if uf.find(u) != uf.find(v):
-                uf.union(u, v)
+            if _join(up, self._edges[e]):
                 tree.add(e)
                 total += Fraction(w[e])
         return frozenset(tree), total
@@ -241,40 +224,28 @@ class Multigraph:
         endpoints = [self._edges[e] for e in order]
         trees: list[frozenset[EdgeId]] = []
 
-        # Backtracking over edges in ascending id order.  Union-find state is
-        # rebuilt from the chosen prefix on each branch; graphs here are small.
-        def rebuild(chosen: list[int]) -> _UnionFind:
-            uf = _UnionFind(self._vertices)
-            for i in chosen:
-                u, v = endpoints[i]
-                uf.union(u, v)
-            return uf
-
-        def classes_left(uf: _UnionFind) -> int:
-            return len({uf.find(v) for v in self._vertices})
-
-        def walk(idx: int, chosen: list[int]) -> None:
-            uf = rebuild(chosen)
-            need = classes_left(uf) - 1
+        # Backtracking over edges in ascending id order.  The chosen edges
+        # form a forest, so n - 1 - len(chosen) edges are still needed; each
+        # branch that takes an edge joins a copy of the classes in ``up``.
+        def walk(idx: int, chosen: list[int], up: dict[VertexId, VertexId]) -> None:
+            need = n - 1 - len(chosen)
             if need == 0:
                 trees.append(frozenset(order[i] for i in chosen))
                 if len(trees) > cap:
-                    raise ResourceLimitError(
-                        f"more than {cap} spanning trees"
-                    )
+                    raise ResourceLimitError(f"more than {cap} spanning trees")
                 return
             if len(order) - idx < need:
                 return
-            u, v = endpoints[idx]
-            if uf.find(u) != uf.find(v):
+            joined = dict(up)
+            if _join(joined, endpoints[idx]):
                 chosen.append(idx)
-                walk(idx + 1, chosen)
+                walk(idx + 1, chosen, joined)
                 chosen.pop()
-            walk(idx + 1, chosen)
+            walk(idx + 1, chosen, up)
 
         if n <= 1:
             return [frozenset()]
-        walk(0, [])
+        walk(0, [], {})
         return trees
 
 

@@ -59,7 +59,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .game import Allocation
-from .multigraph import EdgeId, Multigraph, VertexId
+from .multigraph import EdgeId, Multigraph, VertexId, _compact
 from .simplex import EQ, LE, make_lp, objective_family, simplex_solve
 
 ZERO = Fraction(0)
@@ -72,22 +72,17 @@ DEFAULT_GAME_CAP = 10
 # the subset lattice
 
 
-def _edge_ends(g: Multigraph) -> tuple[list[EdgeId], list[tuple[int, int]]]:
-    """Edges in id order and their endpoints as indices of sorted vertices."""
-    order = sorted(g.edge_ids)
-    vindex = {v: i for i, v in enumerate(sorted(g.vertices))}
-    return order, [(vindex[u], vindex[v]) for u, v in map(g.endpoints, order)]
-
-
-def _lattice(ends: Sequence[tuple[int, int]]) -> tuple[list[int], list[bool]]:
-    """Per edge mask S: its vertex mask, and whether S is nonempty and connected.
+def _lattice(g: Multigraph) -> tuple[list[int], list[bool]]:
+    """Per edge mask S of g, in sorted-EdgeId bit order: its vertex mask, in
+    sorted-vertex bit order, and whether S is nonempty and connected.
 
     ``comp[S]`` is the component of S that holds its lowest edge e.  The
     components of S - e are read off it one by one, each as ``comp`` of what
     is left; e joins those it touches, and S is connected if that is all S.
     """
-    touch = [1 << u | 1 << v for u, v in ends]
-    size = 1 << len(ends)
+    _, us, vs = _compact(g)
+    touch = [1 << u | 1 << v for u, v in zip(us, vs)]
+    size = 1 << len(us)
     verts = [0] * size
     comp = [0] * size
     for mask in range(1, size):
@@ -132,8 +127,7 @@ def _densest(g: Multigraph, edge_cap: int) -> tuple[Fraction, list[int]]:
     """af by enumeration, and the vertex mask of each connected edge mask of
     density af, in ascending edge-mask order."""
     m = _size(g, edge_cap)
-    _, ends = _edge_ends(g)
-    verts, connected = _lattice(ends)
+    verts, connected = _lattice(g)
     k, n, hits = 0, 1, []  # the best density so far is k / n
     for mask in range(1, 1 << m):
         if connected[mask]:
@@ -146,7 +140,7 @@ def _densest(g: Multigraph, edge_cap: int) -> tuple[Fraction, list[int]]:
 
 
 def _vertex_set(g: Multigraph, vmask: int) -> frozenset[VertexId]:
-    return frozenset([v for i, v in enumerate(sorted(g.vertices)) if vmask >> i & 1])
+    return frozenset([v for i, v in enumerate(_compact(g)[0]) if vmask >> i & 1])
 
 
 def brute_fractional_arboricity(
@@ -187,8 +181,7 @@ def gamma_table(g: Multigraph, edge_cap: int = DEFAULT_GAME_CAP) -> list[int]:
     m = g.num_edges()
     if m > edge_cap:
         raise ResourceLimitError(f"{m} edges exceeds oracle cap {edge_cap}")
-    _, ends = _edge_ends(g)
-    verts, connected = _lattice(ends)
+    verts, connected = _lattice(g)
     table = [
         -(-mask.bit_count() // (v.bit_count() - 1)) if conn else 0
         for mask, (v, conn) in enumerate(zip(verts, connected))

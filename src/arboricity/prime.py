@@ -25,7 +25,7 @@ from itertools import groupby
 
 from .density import DensityCertificate, _enumerate_mds, _indices, fractional_arboricity
 from .errors import DisconnectedGraphError, GraphInputError, InternalInvariantError
-from .multigraph import EdgeId, Multigraph, VertexId, _compact, _find
+from .multigraph import EdgeId, Multigraph, VertexId, _compact, _find, _join
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,15 @@ class AncestorPoset:
 
 
 def prime_partition(
-    g: Multigraph, af: DensityCertificate | Fraction | None = None
+    g: Multigraph, cert: DensityCertificate | None = None
 ) -> PrimePartition:
     """Prime sets by levels plus the non-prime set E0.
 
-    ``af`` is the fractional arboricity of g when the caller already has it:
-    the certificate ``fractional_arboricity(g)``, whose minimal densest sets
-    are level 0, or the bare value.  By default the certificate is computed
-    here.  Level 0 proves a bare value by one sweep at it: a subgraph denser
-    than ``af`` fails a kernel trial, and an ``af`` above the true value
-    leaves level 0 with no minimal densest set; both raise
-    ``InternalInvariantError``.
+    ``cert`` is ``fractional_arboricity(g)`` when the caller already has it;
+    its minimal densest sets are level 0.  By default it is computed here.
+    A certificate that names a vertex g does not have raises
+    ``GraphInputError``; one with no set, or with a set that its edges do
+    not connect at density ``cert.value``, raises ``InternalInvariantError``.
 
     The levels contract on one union-find over g's compact indices, so a
     class's image is its minimum original id, as ``Multigraph.contract``
@@ -92,13 +90,12 @@ def prime_partition(
     if g.num_edges() == 0:
         raise GraphInputError("graph has no edges")
 
-    if af is None:
-        af = fractional_arboricity(g)
+    if cert is None:
+        cert = fractional_arboricity(g)
+    if not g.vertices.issuperset(v for s in cert.minimal for v in s):
+        raise GraphInputError("the certificate names a vertex the graph does not have")
     verts, us, vs = _compact(g)
-    if isinstance(af, DensityCertificate):
-        af, minimal = af.value, _indices(verts, af.minimal)
-    else:
-        af, minimal = Fraction(af), None
+    af, minimal = cert.value, _indices(verts, cert.minimal)
     eids = sorted(g.edges)  # edge j of the compact form is eids[j]
     up: dict[int, int] = {}  # the contraction classes; a root is the smallest index
     live: list[int] = list(range(len(us)))  # the edges not yet loops
@@ -115,10 +112,7 @@ def prime_partition(
         for mds, positions in found:
             edges = [live[j] for j in positions]
             collected.append((frozenset(eids[e] for e in edges), level, len(mds)))
-            for e in edges:
-                a, b = _find(up, us[e]), _find(up, vs[e])
-                if a != b:
-                    up[max(a, b)] = min(a, b)
+            _join(up, [v for e in edges for v in (us[e], vs[e])])
         # the next minor: the live edges' ends' roots, numbered in order, so
         # each class keeps the place of its smallest original id
         roots = [(e, _find(up, us[e]), _find(up, vs[e])) for e in live]
@@ -160,14 +154,6 @@ def ancestors(g: Multigraph, pp: PrimePartition) -> AncestorPoset:
     if pp.af != fractional_arboricity(g).value:
         raise GraphInputError("prime partition does not match the graph")
     return _ancestor_order(g, pp)
-
-
-def _join(up: dict[int, int], ends: list[int]) -> None:
-    """Union, in ``up``, the ends of each edge given flattened as ``ends``."""
-    for i in range(0, len(ends), 2):
-        a, b = _find(up, ends[i]), _find(up, ends[i + 1])
-        if a != b:
-            up[a] = b
 
 
 def _ancestor_order(g: Multigraph, pp: PrimePartition) -> AncestorPoset:

@@ -3,8 +3,31 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from arboricity import Multigraph
+
+
+class UnionFind:
+    """Union-find over hashable items, with min-item class labels; the
+    test references' own, apart from the library's."""
+
+    def __init__(self, items: Iterable[int]):
+        self.parent = {v: v for v in items}
+
+    def find(self, v: int) -> int:
+        root = v
+        parent = self.parent
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def edge_list_text(g: Multigraph) -> str:

@@ -93,13 +93,18 @@ def test_contract_one_k4_of_shared_pair():
     from conftest import two_k4_shared_vertex
 
     g = two_k4_shared_vertex()
-    view = g.contract(set(range(6)))  # first K4's edges
-    h = view.as_multigraph()
-    assert h.num_vertices() == 4
-    assert h.num_edges() == 6
-    # the image of the contracted K4 is its minimum vertex id
-    assert view.vertex_map[3] == 0
-    assert all(view.vertex_map[v] == 0 for v in (0, 1, 2, 3))
+    # the same graph on negative, non-contiguous ids, whose first K4's
+    # minimum is its vertex 2
+    label = [5, 40, -17, 3, -2, 11, -30]
+    relabelled = Multigraph({e: (label[u], label[v]) for e, (u, v) in g.edges.items()})
+    for h, first_k4 in ((g, (0, 1, 2, 3)), (relabelled, (5, 40, -17, 3))):
+        view = h.contract(set(range(6)))  # first K4's edges
+        minor = view.as_multigraph()
+        assert minor.num_vertices() == 4
+        assert minor.num_edges() == 6
+        # the image of the contracted K4 is its minimum vertex id
+        assert all(view.vertex_map[v] == min(first_k4) for v in first_k4)
+        assert all(view.vertex_map[v] == v for v in h.vertices - set(first_k4))
 
 
 def test_contract_endpoint_images_consistent():
@@ -177,6 +182,55 @@ def test_enumerate_spanning_trees_counts():
     assert len(k4().enumerate_spanning_trees(100)) == 16
     path = Multigraph.from_edge_list([(0, 1), (1, 2)])
     assert path.enumerate_spanning_trees(10) == [frozenset({0, 1})]
+
+
+def _kirchhoff_count(g: Multigraph) -> int:
+    """The number of spanning trees: the determinant of g's Laplacian with
+    its first row and column removed, by exact Fraction elimination."""
+    verts = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in g.edges.values():
+        a, b = index[u], index[v]
+        lap[a][a] += 1
+        lap[b][b] += 1
+        lap[a][b] -= 1
+        lap[b][a] -= 1
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n - 1) if m[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n - 1):
+            f = m[r][c] / m[c][c]
+            for k in range(c, n - 1):
+                m[r][k] -= f * m[c][k]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_enumerate_spanning_trees_matches_the_matrix_tree_theorem():
+    import random
+
+    from conftest import random_connected
+
+    rng = random.Random(11)
+    parallel = 0
+    for _ in range(80):
+        g = random_connected(rng, n_max=6, m_max=10)
+        parallel += len(set(g.edges.values())) < g.num_edges()
+        trees = g.enumerate_spanning_trees(10**6)
+        assert len(trees) == len(set(trees)) == _kirchhoff_count(g)
+        for t in trees:
+            assert len(t) == g.num_vertices() - 1
+            assert g.delete_edges(g.edge_ids - t).is_connected()
+    assert parallel >= 40
 
 
 def test_enumerate_spanning_trees_cap():

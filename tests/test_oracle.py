@@ -20,12 +20,11 @@ from arboricity import (
 )
 from arboricity import oracle
 from arboricity.game import _connected_vertex_subsets
-from arboricity.multigraph import VertexId, _UnionFind
+from arboricity.multigraph import EdgeId, VertexId
 from arboricity.oracle import (
     DEFAULT_GAME_CAP,
     ZERO,
     _Echelon,
-    _edge_ends,
     _prune,
     _subset_sums,
     brute_core_check,
@@ -37,6 +36,7 @@ from arboricity.oracle import (
 )
 
 from conftest import (
+    UnionFind,
     k4,
     path,
     random_connected,
@@ -55,6 +55,13 @@ import workloads  # noqa: E402
 # direction with two LPs from an empty start
 
 
+def _edge_ends(g: Multigraph) -> tuple[list[EdgeId], list[tuple[int, int]]]:
+    """Edges in id order and their endpoints as indices of sorted vertices."""
+    order = sorted(g.edge_ids)
+    vindex = {v: i for i, v in enumerate(sorted(g.vertices))}
+    return order, [(vindex[u], vindex[v]) for u, v in map(g.endpoints, order)]
+
+
 def _reference_subset_density(
     ends: Sequence[tuple[int, int]], mask: int
 ) -> Fraction | None:
@@ -68,7 +75,7 @@ def _reference_subset_density(
             edges.append((u, v))
     if not edges:
         return None
-    uf = _UnionFind(verts)
+    uf = UnionFind(verts)
     for u, v in edges:
         uf.union(u, v)
     if len({uf.find(v) for v in verts}) != 1:

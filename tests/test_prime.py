@@ -28,6 +28,7 @@ from arboricity.oracle import enumerate_densest_subgraphs
 from arboricity.prime import PrimeSet, _ancestor_order
 
 from conftest import (
+    UnionFind,
     four_k4_chain,
     k4,
     k4_edges,
@@ -289,12 +290,24 @@ def test_partition_invariants_random(seed):
 def test_prime_partition_takes_the_callers_af(make):
     g = make()
     cert = fractional_arboricity(g)
-    af = cert.value
-    assert prime_partition(g, af) == prime_partition(g) == prime_partition(g, cert)
+    assert prime_partition(g) == prime_partition(g, cert)
     with pytest.raises(InternalInvariantError, match="no subgraph attains the given af"):
-        prime_partition(g, af + Fraction(1, 7))
+        prime_partition(g, replace(cert, minimal=()))
+    with pytest.raises(InternalInvariantError, match="extraction failed"):
+        prime_partition(g, replace(cert, value=cert.value + Fraction(1, 7)))
+
+
+def test_prime_partition_checks_the_certificates_sets():
+    g = two_k4_bridge()
+    # a triangle of the first K4 at its own density 3/2: level 0 takes it,
+    # and level 1's sweep at 3/2 finds the rest of the K4 denser
+    low = replace(fractional_arboricity(g), value=Fraction(3, 2), minimal=(frozenset({0, 1, 2}),))
     with pytest.raises(InternalInvariantError, match="denser than the given af"):
-        prime_partition(g, af - Fraction(1, 7))
+        prime_partition(g, low)
+    # a certificate of another graph, on vertices g does not have
+    other = fractional_arboricity(Multigraph.from_edge_list([(10, 11), (11, 12), (10, 12)]))
+    with pytest.raises(GraphInputError, match="names a vertex"):
+        prime_partition(g, other)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +362,6 @@ def _reference_ancestor_order(
     """The ancestor order by one dict-based union-find replay over every
     level per prime set, kept as the reference for ``_ancestor_order``,
     with the transitive closure of its direct dependences."""
-    from arboricity.multigraph import _UnionFind
 
     sets = sorted(pp.prime_sets, key=lambda ps: ps.level)
     max_level = max((ps.level for ps in sets), default=0)
@@ -361,7 +373,7 @@ def _reference_ancestor_order(
     for q in sets:
         if q.level >= max_level:
             continue
-        uf = _UnionFind(g.vertices)
+        uf = UnionFind(g.vertices)
         for level in range(max_level + 1):
             if level > q.level:
                 for p in by_level.get(level, ()):
@@ -430,10 +442,10 @@ def test_ancestor_order_matches_the_reference_replay():
 
 
 def test_replays_union_a_bounded_number_of_edges(monkeypatch):
-    # every union-find union of the ancestor order goes through
-    # ``prime._join``: the forest build unions each prime edge once, and
-    # each replay only the sets on its prime set's path up the forest, so
-    # on a wide tree, a deep hierarchy and a tall tower all of them
+    # every union-find union of the ancestor order goes through ``_join``,
+    # which ``prime`` imports: the forest build unions each prime edge once,
+    # and each replay only the sets on its prime set's path up the forest,
+    # so on a wide tree, a deep hierarchy and a tall tower all of them
     # together stay within 4 m; a replay over whole levels would not
 
     from arboricity import prime
@@ -444,7 +456,7 @@ def test_replays_union_a_bounded_number_of_edges(monkeypatch):
     def counted(up, ends):
         nonlocal joined
         joined += len(ends) // 2
-        join(up, ends)
+        return join(up, ends)
 
     monkeypatch.setattr(prime, "_join", counted)
     rng = random.Random(5)
